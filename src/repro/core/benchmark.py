@@ -149,18 +149,10 @@ class BenchmarkProcess:
 
         This is the inner loop of the biased estimator (Algorithm 2): the
         hyperparameters come from a previous HOpt run and only the
-        :math:`\\xi_O` seeds of ``seeds`` matter.
+        :math:`\\xi_O` seeds of ``seeds`` matter.  It is
+        :meth:`measure_many` on a batch of one.
         """
-        train, valid, test = self.split(seeds)
-        outcome = fit_and_score(self.pipeline, train, test, hparams, seeds, valid=valid)
-        return Measurement(
-            test_score=float(outcome.test_score),
-            valid_score=outcome.valid_score,
-            train_score=float(outcome.train_score),
-            hparams=dict(outcome.hparams),
-            seeds=seeds,
-            n_fits=1,
-        )
+        return self.measure_many([seeds], hparams)[0]
 
     def measure_many(
         self,
@@ -174,7 +166,7 @@ class BenchmarkProcess:
         into one stacked multi-seed kernel where the pipeline supports it.
         Evaluation stays per item on each item's own (variable-size)
         out-of-bootstrap test set.  Per item the measurement is
-        bitwise-identical to :meth:`measure`.
+        bitwise-identical whatever it is batched with.
         """
         seeds_list = list(seeds_list)
         if not seeds_list:

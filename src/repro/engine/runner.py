@@ -102,22 +102,25 @@ class WorkItem:
         )
 
 
-def _execute_item(process: BenchmarkProcess, item: WorkItem) -> Measurement:
-    """Run one work item against the process (top level: process-picklable)."""
-    if item.with_hpo:
-        # HPO algorithms may keep per-run state (e.g. NoisyGridSearch builds
-        # its grid in prepare()); concurrent with_hpo items on the thread
-        # backend would race on the shared instance.  A shallow process copy
-        # with its own deep-copied optimizer keeps every item independent —
-        # pipelines, datasets and resamplers are fit-pure and stay shared.
-        process = copy.copy(process)
-        process.hpo_algorithm = copy.deepcopy(process.hpo_algorithm)
-        return process.measure_with_hpo(item.seeds)
-    return process.measure(item.seeds, item.hparams)
+def _measure_with_hpo(process: BenchmarkProcess, seeds: SeedBundle) -> Measurement:
+    """One HPO measurement on a private copy of the process's optimizer."""
+    # HPO algorithms may keep per-run state (e.g. NoisyGridSearch builds
+    # its grid in prepare()); concurrent with_hpo items on the thread
+    # backend would race on the shared instance.  A shallow process copy
+    # with its own deep-copied optimizer keeps every item independent —
+    # pipelines, datasets and resamplers are fit-pure and stay shared.
+    process = copy.copy(process)
+    process.hpo_algorithm = copy.deepcopy(process.hpo_algorithm)
+    return process.measure_with_hpo(seeds)
 
 
 class _BoundExecute:
-    """Picklable ``item -> Measurement`` closure over the process.
+    """Picklable ``(item, ...) -> [Measurement, ...]`` closure over the process.
+
+    A task is one HPO item or up to ``batch_size`` items sharing their
+    hyperparameters — the grouping :meth:`StudyRunner._plan_batches`
+    guarantees — and the latter go through the vectorized
+    :meth:`BenchmarkProcess.measure_many`.
 
     When a ``dataset_handle`` is attached (process backend), pickling
     strips the dataset from the payload and ships the shared-memory handle
@@ -135,8 +138,12 @@ class _BoundExecute:
         self.process = process
         self.dataset_handle = dataset_handle
 
-    def __call__(self, item: WorkItem) -> Measurement:
-        return _execute_item(self.process, item)
+    def __call__(self, task: Tuple[WorkItem, ...]) -> List[Measurement]:
+        if any(item.with_hpo for item in task):
+            return [_measure_with_hpo(self.process, item.seeds) for item in task]
+        return self.process.measure_many(
+            [item.seeds for item in task], task[0].hparams
+        )
 
     def __getstate__(self) -> dict:
         if self.dataset_handle is None:
@@ -150,25 +157,6 @@ class _BoundExecute:
         self.dataset_handle = state["handle"]
         if self.dataset_handle is not None and self.process.dataset is None:
             self.process.dataset = self.dataset_handle.materialize()
-
-
-class _BoundExecuteMany(_BoundExecute):
-    """Picklable ``(item, ...) -> [Measurement, ...]`` batched closure.
-
-    Homogeneous multi-item tasks (same hyperparameters, no HPO — the
-    grouping :meth:`StudyRunner._plan_batches` guarantees) go through the
-    vectorized :meth:`BenchmarkProcess.measure_many`; singletons and HPO
-    items take the exact per-item path.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, task: Tuple[WorkItem, ...]) -> List[Measurement]:
-        if len(task) == 1 or any(item.with_hpo for item in task):
-            return [_execute_item(self.process, item) for item in task]
-        return self.process.measure_many(
-            [item.seeds for item in task], task[0].hparams
-        )
 
 
 class StudyRunner:
@@ -192,8 +180,8 @@ class StudyRunner:
         Group up to this many compatible work items (same hyperparameters,
         no HPO, different seeds) into one dispatched task, executed through
         the pipeline's vectorized multi-seed kernel.  Defaults to the
-        executor's ``batch_size`` hint (``1`` = no batching).  Batched
-        results are bitwise-identical to per-item execution.
+        executor's ``batch_size`` hint (``1`` = one-item tasks).  Results
+        are bitwise-identical at every batch size.
     """
 
     def __init__(
@@ -269,7 +257,7 @@ class StudyRunner:
         return [results[key] for key in keys]
 
     # ------------------------------------------------------------------
-    # Dispatch: per-item or grouped into batched tasks
+    # Dispatch: items grouped into batched tasks
     # ------------------------------------------------------------------
     def _dataset_handle(self) -> Optional[DatasetHandle]:
         """Publish the dataset to shared memory for process-backend runs."""
@@ -284,12 +272,10 @@ class StudyRunner:
         handle = self._dataset_handle()
         started = time.perf_counter()
         try:
-            if self.batch_size <= 1:
-                return self.executor.map(_BoundExecute(self.process, handle), items)
             tasks, positions = self._plan_batches(items)
             weights = [len(task) for task in tasks]
             grouped = self.executor.map(
-                _BoundExecuteMany(self.process, handle), tasks, weights=weights
+                _BoundExecute(self.process, handle), tasks, weights=weights
             )
             ordered: List[Optional[Measurement]] = [None] * len(items)
             for task_positions, measurements in zip(positions, grouped):

@@ -15,6 +15,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.data.dataset import Dataset
 from repro.utils.rng import SeedBundle
+from repro.utils.validation import check_aligned
 
 __all__ = ["Pipeline", "FitOutcome", "fit_and_score", "fit_and_score_many"]
 
@@ -97,14 +98,16 @@ class Pipeline(ABC):
 
         The batching contract: every item shares the pipeline and the
         hyperparameters while the seed bundles (and hence the resampled
-        training sets) differ per item.  The default implementation is a
-        sequential loop over :meth:`fit` — trivially bitwise-identical to
-        per-item execution — and pipelines that can vectorize (the linear
-        and MLP families) override it with a stacked multi-seed kernel that
-        preserves bitwise identity per item.
+        training sets) differ per item; ``trains``, ``seeds_list`` and
+        ``valids`` must have one entry per item.  The default
+        implementation is a sequential loop over :meth:`fit` — trivially
+        bitwise-identical to per-item execution.  The linear and MLP
+        families override it with the stacked multi-seed kernel, which is
+        also how they :meth:`fit` one model: as a batch of one.
         """
         if valids is None:
             valids = [None] * len(trains)
+        check_aligned(trains=trains, seeds_list=seeds_list, valids=valids)
         return [
             self.fit(train, hparams, seeds, valid=valid)
             for train, seeds, valid in zip(trains, seeds_list, valids)
@@ -149,14 +152,12 @@ def fit_and_score(
 
     This is the single entry point used by estimators and HOpt: one call is
     one model fit, which is the unit the paper's cost accounting counts
-    (O(kT) for the ideal estimator vs O(k+T) for the biased one).
+    (O(kT) for the ideal estimator vs O(k+T) for the biased one).  It is
+    :func:`fit_and_score_many` on a batch of one.
     """
-    resolved = pipeline.resolve_hparams(hparams)
-    outcome = pipeline.fit(train, resolved, seeds, valid=valid)
-    if valid is not None and outcome.valid_score is None:
-        outcome.valid_score = pipeline.evaluate(outcome.model, valid)
-    outcome.test_score = pipeline.evaluate(outcome.model, test)
-    return outcome
+    return fit_and_score_many(
+        pipeline, [train], [test], hparams, [seeds], valids=[valid]
+    )[0]
 
 
 def fit_and_score_many(
@@ -172,11 +173,12 @@ def fit_and_score_many(
     Fits go through :meth:`Pipeline.fit_many` (vectorized where the
     pipeline supports it), evaluation stays per item on each item's own
     resample — test sets vary in size across bootstrap seeds, so scoring
-    cannot be stacked.  Per item the outcome is bitwise-identical to
-    :func:`fit_and_score`.
+    cannot be stacked.  ``trains``, ``tests``, ``seeds_list`` and
+    ``valids`` must have one entry per item.
     """
     if valids is None:
         valids = [None] * len(trains)
+    check_aligned(trains=trains, tests=tests, seeds_list=seeds_list, valids=valids)
     resolved = pipeline.resolve_hparams(hparams)
     outcomes = pipeline.fit_many(trains, resolved, seeds_list, valids=valids)
     for outcome, valid, test in zip(outcomes, valids, tests):

@@ -9,23 +9,23 @@ seed-controlled mini-batch loop so they expose the same variance sources
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.pipelines.base import FitOutcome, Pipeline
 from repro.pipelines.metrics import METRICS
+from repro.pipelines.mlp import _NetworkPipeline
 from repro.pipelines.nn.network import MLPNetwork
 from repro.pipelines.nn.optimizers import SGD
 from repro.pipelines.nn.schedules import ExponentialDecaySchedule
-from repro.pipelines.training import TrainingConfig, train_network
+from repro.pipelines.training import TrainingConfig
 from repro.utils.rng import SeedBundle
 
 __all__ = ["LogisticRegressionPipeline", "RidgeRegressionPipeline"]
 
 
-class _BaseLinearPipeline(Pipeline):
+class _BaseLinearPipeline(_NetworkPipeline):
     """Shared implementation of the linear pipelines."""
 
     task_type = "classification"
@@ -67,9 +67,6 @@ class _BaseLinearPipeline(Pipeline):
             }
         )
 
-    def _output_size(self, train: Dataset) -> int:
-        raise NotImplementedError
-
     def _build_network(
         self, train: Dataset, hparams: Mapping[str, Any], seeds: SeedBundle
     ) -> MLPNetwork:
@@ -100,48 +97,6 @@ class _BaseLinearPipeline(Pipeline):
             schedule=schedule,
             numerical_noise_scale=self.numerical_noise_scale,
         )
-
-    def fit(
-        self,
-        train: Dataset,
-        hparams: Mapping[str, Any],
-        seeds: SeedBundle,
-        valid: Optional[Dataset] = None,
-    ) -> FitOutcome:
-        from repro.pipelines.mlp import _clip_hparams
-
-        hparams = _clip_hparams(self.resolve_hparams(hparams))
-        network = self._build_network(train, hparams, seeds)
-        optimizer = self._build_optimizer(hparams)
-        config = self._training_config(hparams)
-        history = train_network(network, train, optimizer, config, seeds)
-        return FitOutcome(
-            model=network,
-            train_score=self.evaluate(network, train),
-            valid_score=self.evaluate(network, valid) if valid is not None else None,
-            hparams=dict(hparams),
-            seeds=seeds,
-            history=history.as_dict(),
-        )
-
-    def fit_many(
-        self,
-        trains: Sequence[Dataset],
-        hparams: Mapping[str, Any],
-        seeds_list: Sequence[SeedBundle],
-        valids: Optional[Sequence[Optional[Dataset]]] = None,
-    ) -> List[FitOutcome]:
-        from repro.pipelines.mlp import _fit_many_stacked, _stackable
-
-        if valids is None:
-            valids = [None] * len(trains)
-        if not _stackable(self, trains):
-            return super().fit_many(trains, hparams, seeds_list, valids=valids)
-        return _fit_many_stacked(self, trains, hparams, seeds_list, valids)
-
-    def evaluate(self, model: MLPNetwork, dataset: Dataset) -> float:
-        metric = METRICS[self.metric_name]
-        return float(metric(dataset.y, model.predict(dataset.X)))
 
 
 class LogisticRegressionPipeline(_BaseLinearPipeline):

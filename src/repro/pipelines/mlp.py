@@ -24,8 +24,9 @@ from repro.pipelines.nn.batched import BatchedNetwork
 from repro.pipelines.nn.network import MLPNetwork
 from repro.pipelines.nn.optimizers import SGD, Adam
 from repro.pipelines.nn.schedules import ExponentialDecaySchedule
-from repro.pipelines.training import TrainingConfig, train_network, train_network_many
+from repro.pipelines.training import TrainingConfig, train_network_many
 from repro.utils.rng import SeedBundle
+from repro.utils.validation import check_aligned
 
 __all__ = ["MLPClassifierPipeline", "MLPRegressorPipeline"]
 
@@ -76,65 +77,87 @@ def _clip_hparams(hparams: Mapping[str, Any]) -> Dict[str, Any]:
     return clipped
 
 
-def _stackable(pipeline, trains: Sequence[Dataset]) -> bool:
-    """Whether a batch of training sets can share one stacked kernel.
+class _NetworkPipeline(Pipeline):
+    """Fit and evaluation shared by the pipelines built on :class:`MLPNetwork`.
 
-    Bootstrap resamples of one dataset normally have identical train
-    shapes (the in-bag size is fixed), but degenerate resamples (an empty
-    out-of-bag set shrinks the in-bag pool) or a resample that misses the
-    top class (changing the classifier's output width) break the stacking
-    precondition — those batches fall back to the serial loop.
+    A fit is a stacked batch of one: :meth:`fit` is ``fit_many([train])[0]``.
+    :meth:`fit_many` groups its items by training-set shape and output
+    width — bootstrap resamples usually share one shape, but a degenerate
+    resample (an empty out-of-bag set shrinks the in-bag pool) or one that
+    misses the top class (narrowing the classifier's output) does not — and
+    trains each group in one :func:`train_network_many` pass.  Per-item
+    networks are initialized from each seed's own ``init`` stream and a
+    fresh optimizer steps each group, so every item's outcome is
+    bitwise-identical whatever it is batched with.
+
+    Subclasses provide ``_output_size``, ``_build_network``,
+    ``_build_optimizer`` and ``_training_config``.
     """
-    if len(trains) < 2:
-        return False
-    if len({train.X.shape for train in trains}) != 1:
-        return False
-    return len({pipeline._output_size(train) for train in trains}) == 1
+
+    def fit(
+        self,
+        train: Dataset,
+        hparams: Mapping[str, Any],
+        seeds: SeedBundle,
+        valid: Optional[Dataset] = None,
+    ) -> FitOutcome:
+        return self.fit_many([train], hparams, [seeds], valids=[valid])[0]
+
+    def fit_many(
+        self,
+        trains: Sequence[Dataset],
+        hparams: Mapping[str, Any],
+        seeds_list: Sequence[SeedBundle],
+        valids: Optional[Sequence[Optional[Dataset]]] = None,
+    ) -> List[FitOutcome]:
+        trains, seeds_list = list(trains), list(seeds_list)
+        valids = [None] * len(trains) if valids is None else list(valids)
+        check_aligned(trains=trains, seeds_list=seeds_list, valids=valids)
+        hparams = _clip_hparams(self.resolve_hparams(hparams))
+        groups: Dict[Tuple, List[int]] = {}
+        for index, train in enumerate(trains):
+            key = (train.X.shape, self._output_size(train))
+            groups.setdefault(key, []).append(index)
+        outcomes: List[FitOutcome] = [None] * len(trains)  # type: ignore[list-item]
+        for members in groups.values():
+            group_trains = [trains[index] for index in members]
+            group_seeds = [seeds_list[index] for index in members]
+            networks = [
+                self._build_network(train, hparams, seeds)
+                for train, seeds in zip(group_trains, group_seeds)
+            ]
+            batched = BatchedNetwork(networks)
+            histories = train_network_many(
+                batched,
+                group_trains,
+                self._build_optimizer(hparams),
+                self._training_config(hparams),
+                group_seeds,
+            )
+            batched.unstack()
+            for index, network, history in zip(members, networks, histories):
+                valid = valids[index]
+                outcomes[index] = FitOutcome(
+                    model=network,
+                    train_score=self.evaluate(network, trains[index]),
+                    valid_score=(
+                        self.evaluate(network, valid) if valid is not None else None
+                    ),
+                    hparams=dict(hparams),
+                    seeds=seeds_list[index],
+                    history=history.as_dict(),
+                )
+        return outcomes
+
+    def evaluate(self, model: MLPNetwork, dataset: Dataset) -> float:
+        metric = METRICS[self.metric_name]
+        return float(metric(dataset.y, model.predict(dataset.X)))
+
+    def _output_size(self, train: Dataset) -> int:
+        raise NotImplementedError
 
 
-def _fit_many_stacked(
-    pipeline,
-    trains: Sequence[Dataset],
-    hparams: Mapping[str, Any],
-    seeds_list: Sequence[SeedBundle],
-    valids: Sequence[Optional[Dataset]],
-) -> List[FitOutcome]:
-    """Vectorized multi-seed fit shared by the linear and MLP pipelines.
-
-    Per-item networks are initialized from each seed's own ``init`` stream
-    (identical draws to the serial path), stacked into ``(B, in, out)``
-    tensors, and trained in one lockstep pass; a single element-wise
-    optimizer instance updates all B weight stacks per step.  Scores and
-    histories are bitwise-identical to B serial :meth:`Pipeline.fit` calls.
-    """
-    hparams = _clip_hparams(pipeline.resolve_hparams(hparams))
-    networks = [
-        pipeline._build_network(train, hparams, seeds)
-        for train, seeds in zip(trains, seeds_list)
-    ]
-    batched = BatchedNetwork(networks)
-    optimizer = pipeline._build_optimizer(hparams)
-    config = pipeline._training_config(hparams)
-    histories = train_network_many(batched, trains, optimizer, config, seeds_list)
-    batched.unstack()
-    return [
-        FitOutcome(
-            model=network,
-            train_score=pipeline.evaluate(network, train),
-            valid_score=(
-                pipeline.evaluate(network, valid) if valid is not None else None
-            ),
-            hparams=dict(hparams),
-            seeds=seeds,
-            history=history.as_dict(),
-        )
-        for network, train, seeds, valid, history in zip(
-            networks, trains, seeds_list, valids, histories
-        )
-    ]
-
-
-class _BaseMLPPipeline(Pipeline):
+class _BaseMLPPipeline(_NetworkPipeline):
     """Shared implementation of the MLP pipelines."""
 
     task_type = "classification"
@@ -213,9 +236,6 @@ class _BaseMLPPipeline(Pipeline):
             include_momentum=self.optimizer_name == "sgd",
         )
 
-    def _output_size(self, train: Dataset) -> int:
-        raise NotImplementedError
-
     def _init_scheme(self) -> str:
         return "gaussian" if self.optimizer_name == "adam" else "glorot_uniform"
 
@@ -265,46 +285,6 @@ class _BaseMLPPipeline(Pipeline):
             numerical_noise_scale=self.numerical_noise_scale,
             shuffle=self._layer_on("order"),
         )
-
-    def fit(
-        self,
-        train: Dataset,
-        hparams: Mapping[str, Any],
-        seeds: SeedBundle,
-        valid: Optional[Dataset] = None,
-    ) -> FitOutcome:
-        hparams = _clip_hparams(self.resolve_hparams(hparams))
-        network = self._build_network(train, hparams, seeds)
-        optimizer = self._build_optimizer(hparams)
-        config = self._training_config(hparams)
-        history = train_network(network, train, optimizer, config, seeds)
-        outcome = FitOutcome(
-            model=network,
-            train_score=self.evaluate(network, train),
-            valid_score=self.evaluate(network, valid) if valid is not None else None,
-            hparams=dict(hparams),
-            seeds=seeds,
-            history=history.as_dict(),
-        )
-        return outcome
-
-    def fit_many(
-        self,
-        trains: Sequence[Dataset],
-        hparams: Mapping[str, Any],
-        seeds_list: Sequence[SeedBundle],
-        valids: Optional[Sequence[Optional[Dataset]]] = None,
-    ) -> List[FitOutcome]:
-        if valids is None:
-            valids = [None] * len(trains)
-        if not _stackable(self, trains):
-            return super().fit_many(trains, hparams, seeds_list, valids=valids)
-        return _fit_many_stacked(self, trains, hparams, seeds_list, valids)
-
-    def evaluate(self, model: MLPNetwork, dataset: Dataset) -> float:
-        metric = METRICS[self.metric_name]
-        predictions = model.predict(dataset.X)
-        return float(metric(dataset.y, predictions))
 
 
 class MLPClassifierPipeline(_BaseMLPPipeline):

@@ -3,28 +3,33 @@
 The paper's pipelines are small numpy MLPs, so the per-fit cost is dominated
 by Python dispatch (one forward/backward per mini-batch per seed), not by
 BLAS time.  :class:`BatchedNetwork` stacks B identically-shaped networks
-into ``(B, fan_in, fan_out)`` weight tensors and runs init, forward,
-backward and optimizer updates for all B seeds in one pass per mini-batch,
-cutting the dispatch count by a factor of B.
+into ``(B, fan_in, fan_out)`` weight tensors and runs forward, backward
+and optimizer updates for all B seeds in one pass per mini-batch, cutting
+the dispatch count by a factor of B.  It is the only training kernel: a
+single fit is a stack of one.
 
 **Bitwise contract.**  Every batched operation is per-slice identical to
-its serial counterpart, so training B seeds together produces bitwise the
-same weights as training them one at a time:
+its :class:`~repro.pipelines.nn.network.MLPNetwork` counterpart, so a
+network trained in a stack of B gets bitwise the same weights as in a
+stack of one:
 
 * ``np.matmul`` on a 3-D stack runs the same BLAS kernel per 2-D slice as
-  the serial ``(n, d) @ (d, h)`` product;
+  the 2-D ``(n, d) @ (d, h)`` product;
 * element-wise ops (activations, optimizer updates, weight decay) are
-  trivially per-slice identical;
+  trivially per-slice identical — which is also why the optimizer may
+  update every parameter through one flat buffer;
 * reductions run over the same contiguous axis per item — the bias
   gradient ``delta.sum(axis=1)`` of a ``(B, n, h)`` stack accumulates rows
-  exactly like the serial ``delta.sum(axis=0)``, and the loss reductions
+  exactly like ``delta.sum(axis=0)`` of one item, and the loss reductions
   stay over the last (contiguous) axis;
 * random draws stay *per item*: initialization, dropout masks and the
-  numerical perturbation are drawn from each seed's own generator in the
-  same order the serial loop consumes them — only the arithmetic between
+  numerical perturbation are drawn from each seed's own generator, in
+  the order one item's fit consumes them — only the arithmetic between
   draws is stacked.
 
-The probe test (``tests/test_batched.py``) asserts this end to end.
+``tests/test_batched.py`` checks the kernels slice by slice against
+:meth:`MLPNetwork.loss_and_gradients` and the :mod:`repro.pipelines.nn.losses`
+functions, and pins whole-fit outputs to recorded values.
 """
 
 from __future__ import annotations
@@ -65,11 +70,14 @@ def batched_cross_entropy_loss(
     labels = np.asarray(labels, dtype=int)
     probabilities = batched_softmax(logits)
     n_items, n = labels.shape
-    rows = np.arange(n)
-    picked = probabilities[np.arange(n_items)[:, None], rows[None, :], labels]
-    losses = -np.mean(np.log(picked + _EPS), axis=1)
+    # A 2-index gather on the (B*n, C) view costs less than a 3-array index.
+    rows = np.arange(n_items * n)
+    flat_labels = labels.reshape(-1)
+    n_classes = logits.shape[-1]
+    picked = probabilities.reshape(-1, n_classes)[rows, flat_labels]
+    losses = -np.mean(np.log(picked.reshape(n_items, n) + _EPS), axis=1)
     gradient = probabilities.copy()
-    gradient[np.arange(n_items)[:, None], rows[None, :], labels] -= 1.0
+    gradient.reshape(-1, n_classes)[rows, flat_labels] -= 1.0
     gradient /= n
     return losses, gradient
 
@@ -92,13 +100,14 @@ class BatchedNetwork:
 
     Built from per-item networks whose weights were already drawn from each
     seed's own ``init`` generator (batched init = per-seed draws, stacked),
-    so initialization is bitwise-identical to the serial path by
-    construction.  The stacked parameter list returned by
-    :meth:`parameters` is shaped ``[(B, in, out), (B, out), ...]`` and is
-    directly consumable by the element-wise serial optimizers
-    (:class:`~repro.pipelines.nn.optimizers.SGD` /
-    :class:`~repro.pipelines.nn.optimizers.Adam`): one optimizer instance
-    updates all B seeds' tensors per step.
+    so initialization is bitwise-identical to each network's own by
+    construction.  The stacked parameters returned by :meth:`parameters`
+    are shaped ``[(B, in, out), (B, out), ...]`` and are views into the
+    one contiguous buffer :attr:`flat`, laid out in that order.  An
+    element-wise optimizer (:class:`~repro.pipelines.nn.optimizers.SGD` /
+    :class:`~repro.pipelines.nn.optimizers.Adam`) therefore steps every
+    seed's every tensor at once on ``[flat]``, given the gradients
+    concatenated in the same order.
     """
 
     def __init__(self, networks: Sequence[MLPNetwork]) -> None:
@@ -121,14 +130,17 @@ class BatchedNetwork:
         self.task_type = base.task_type
         self.dropout_rate = base.dropout_rate
         self.n_items = len(networks)
-        self.weights = [
-            np.stack([net.weights[layer] for net in networks])
-            for layer in range(base.n_layers)
+        stacks = [
+            np.stack(params) for params in zip(*(net.parameters() for net in networks))
         ]
-        self.biases = [
-            np.stack([net.biases[layer] for net in networks])
-            for layer in range(base.n_layers)
+        self.flat = np.concatenate(stacks, axis=None)
+        bounds = np.cumsum([stack.size for stack in stacks])[:-1]
+        views = [
+            part.reshape(stack.shape)
+            for part, stack in zip(np.split(self.flat, bounds), stacks)
         ]
+        self.weights = views[0::2]
+        self.biases = views[1::2]
 
     @property
     def n_layers(self) -> int:
@@ -151,8 +163,9 @@ class BatchedNetwork:
         """Forward pass over a ``(B, n, d)`` input stack.
 
         Dropout masks are drawn *per item* from each seed's generator in
-        layer order — the exact draw sequence of B serial forward passes —
-        and only the mask arithmetic is stacked.
+        layer order — the exact draw sequence of B
+        :meth:`MLPNetwork.forward` passes — and only the mask arithmetic is
+        stacked.
         """
         activations = [X]
         masks: list[np.ndarray] = []
@@ -187,7 +200,7 @@ class BatchedNetwork:
         """Per-item losses and stacked gradients for a mini-batch stack.
 
         Returns the ``(B,)`` loss vector and gradients ordered like
-        :meth:`parameters`, each slice bitwise-equal to the serial
+        :meth:`parameters`, each slice bitwise-equal to
         :meth:`MLPNetwork.loss_and_gradients` on that item.
         """
         output, activations, masks = self.forward(X, dropout_rngs=dropout_rngs)
@@ -213,7 +226,7 @@ class BatchedNetwork:
     def perturb_parameters(
         self, scale: float, rngs: Sequence[np.random.Generator]
     ) -> None:
-        """Per-item numerical-noise perturbation (serial draw order kept)."""
+        """Per-item numerical-noise perturbation, in each item's draw order."""
         if scale < 0:
             raise ValueError("scale must be non-negative")
         if scale == 0:

@@ -24,17 +24,11 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.pipelines.nn.batched import BatchedNetwork
-from repro.pipelines.nn.network import MLPNetwork
 from repro.pipelines.nn.optimizers import Optimizer
 from repro.utils.rng import SeedBundle
 from repro.utils.validation import check_positive_int
 
-__all__ = [
-    "TrainingConfig",
-    "TrainingHistory",
-    "train_network",
-    "train_network_many",
-]
+__all__ = ["TrainingConfig", "TrainingHistory", "train_network_many"]
 
 #: Type of an augmentation transform: (X, rng) -> X'.
 Transform = Callable[[np.ndarray, np.random.Generator], np.ndarray]
@@ -81,86 +75,8 @@ class TrainingHistory:
         return {"losses": list(self.losses), "learning_rates": list(self.learning_rates)}
 
 
-def _epoch_batches(
-    n_samples: int,
-    batch_size: int,
-    order_rng: Optional[np.random.Generator],
-    shuffle: bool,
-) -> List[np.ndarray]:
-    """Split sample indices into mini-batches, optionally shuffled."""
-    if shuffle and order_rng is not None:
-        indices = order_rng.permutation(n_samples)
-    else:
-        indices = np.arange(n_samples)
-    return [
-        indices[start : start + batch_size]
-        for start in range(0, n_samples, batch_size)
-    ]
-
-
-def train_network(
-    network: MLPNetwork,
-    train: Dataset,
-    optimizer: Optimizer,
-    config: TrainingConfig,
-    seeds: SeedBundle,
-) -> TrainingHistory:
-    """Train ``network`` in place on ``train`` and return the loss history.
-
-    Parameters
-    ----------
-    network:
-        A freshly initialized :class:`~repro.pipelines.nn.network.MLPNetwork`
-        (its weights should have been drawn with the ``init`` stream of the
-        same seed bundle).
-    train:
-        Training dataset.
-    optimizer:
-        Optimizer instance holding learning rate / momentum state.
-    config:
-        Static training configuration.
-    seeds:
-        Seed bundle supplying the ``order``, ``dropout``, ``augment`` and
-        ``numerical`` random streams.
-    """
-    check_positive_int(config.n_epochs, "n_epochs")
-    check_positive_int(config.batch_size, "batch_size")
-    order_rng = seeds.rng_for("order")
-    dropout_rng = seeds.rng_for("dropout") if network.dropout_rate > 0 else None
-    augment_rng = seeds.rng_for("augment") if config.augmentations else None
-    history = TrainingHistory()
-    parameters = network.parameters()
-    for epoch in range(config.n_epochs):
-        lr = (
-            config.schedule(epoch)
-            if config.schedule is not None
-            else optimizer.learning_rate
-        )
-        X_epoch = train.X
-        if augment_rng is not None:
-            for transform in config.augmentations:
-                X_epoch = transform(X_epoch, augment_rng)
-        epoch_loss = 0.0
-        batches = _epoch_batches(
-            train.n_samples, config.batch_size, order_rng, config.shuffle
-        )
-        for batch in batches:
-            loss, gradients = network.loss_and_gradients(
-                X_epoch[batch], train.y[batch], dropout_rng=dropout_rng
-            )
-            optimizer.step(parameters, gradients, lr)
-            epoch_loss += loss * batch.size
-        history.losses.append(epoch_loss / train.n_samples)
-        history.learning_rates.append(lr)
-    if config.numerical_noise_scale > 0:
-        network.perturb_parameters(
-            config.numerical_noise_scale, seeds.rng_for("numerical")
-        )
-    return history
-
-
 def train_network_many(
-    batched: "BatchedNetwork",
+    batched: BatchedNetwork,
     trains: Sequence[Dataset],
     optimizer: Optimizer,
     config: TrainingConfig,
@@ -168,18 +84,19 @@ def train_network_many(
 ) -> List[TrainingHistory]:
     """Train B stacked networks in lockstep, one per ``(train, seeds)`` pair.
 
-    The vectorized twin of :func:`train_network`: every random stream
-    (order permutations, dropout masks, augmentations, the numerical
-    perturbation) is consumed *per item* from that item's own seed bundle
-    in exactly the order the serial loop consumes it, while the arithmetic
-    between draws (forward, backward, optimizer step) runs once on the
-    ``(B, ...)`` stacks.  All items share the optimizer hyperparameters and
-    the training configuration, and every training set must have the same
-    shape — :meth:`repro.pipelines.base.Pipeline.fit_many` checks this and
-    falls back to a serial loop otherwise.
+    This is the only training loop; a single fit runs it at B=1.  Every
+    random stream (order permutations, dropout masks, augmentations, the
+    numerical perturbation) is consumed *per item* from that item's own
+    seed bundle, in the order a fit of that item alone consumes it, while
+    the arithmetic between draws (forward, backward, optimizer step) runs
+    once on the ``(B, ...)`` stacks.  Each history is therefore
+    bitwise-equal to the one the item gets in a batch of one.  All items
+    share the optimizer hyperparameters and the training configuration,
+    and every training set must have the same shape —
+    :meth:`repro.pipelines.mlp._NetworkPipeline.fit_many` groups items by
+    shape before calling this.
 
-    Returns one :class:`TrainingHistory` per item, bitwise-equal to the
-    serial histories.
+    The optimizer steps once per mini-batch on ``[batched.flat]``.
     """
     check_positive_int(config.n_epochs, "n_epochs")
     check_positive_int(config.batch_size, "batch_size")
@@ -202,39 +119,37 @@ def train_network_many(
         if config.augmentations
         else None
     )
+    X_all = np.stack([train.X for train in trains])
+    y_all = np.stack([train.y for train in trains])
+    items = np.arange(n_items)[:, None]
     histories = [TrainingHistory() for _ in range(n_items)]
-    parameters = batched.parameters()
     for epoch in range(config.n_epochs):
         lr = (
             config.schedule(epoch)
             if config.schedule is not None
             else optimizer.learning_rate
         )
-        X_epochs = []
-        for index, train in enumerate(trains):
-            X_epoch = train.X
-            if augment_rngs is not None:
+        X_epoch = X_all
+        if augment_rngs is not None:
+            X_items = []
+            for train, augment_rng in zip(trains, augment_rngs):
+                X_item = train.X
                 for transform in config.augmentations:
-                    X_epoch = transform(X_epoch, augment_rngs[index])
-            X_epochs.append(X_epoch)
+                    X_item = transform(X_item, augment_rng)
+                X_items.append(X_item)
+            X_epoch = np.stack(X_items)
+        if config.shuffle:
+            orders = np.stack([rng.permutation(n_samples) for rng in order_rngs])
+        else:
+            orders = np.broadcast_to(np.arange(n_samples), (n_items, n_samples))
         epoch_losses = np.zeros(n_items)
-        item_batches = [
-            _epoch_batches(n_samples, config.batch_size, order_rngs[index], config.shuffle)
-            for index in range(n_items)
-        ]
-        for step in range(len(item_batches[0])):
-            batch_indices = [batches[step] for batches in item_batches]
-            X_stack = np.stack(
-                [X_epochs[index][batch_indices[index]] for index in range(n_items)]
-            )
-            y_stack = np.stack(
-                [trains[index].y[batch_indices[index]] for index in range(n_items)]
-            )
+        for start in range(0, n_samples, config.batch_size):
+            batch = orders[:, start : start + config.batch_size]
             losses, gradients = batched.loss_and_gradients(
-                X_stack, y_stack, dropout_rngs=dropout_rngs
+                X_epoch[items, batch], y_all[items, batch], dropout_rngs=dropout_rngs
             )
-            optimizer.step(parameters, gradients, lr)
-            epoch_losses += losses * batch_indices[0].size
+            optimizer.step([batched.flat], [np.concatenate(gradients, axis=None)], lr)
+            epoch_losses += losses * batch.shape[1]
         for index in range(n_items):
             histories[index].losses.append(float(epoch_losses[index] / n_samples))
             histories[index].learning_rates.append(lr)

@@ -123,12 +123,20 @@ class _Handler(BaseHTTPRequestHandler):
         split = self.path.split("?", 1)
         return parse_qs(split[1]) if len(split) == 2 else {}
 
+    #: ``(method, route)`` of the request being handled until it is counted.
+    _uncounted: Optional[Tuple[str, str]] = None
+
     def send_response(self, code: int, message: Optional[str] = None) -> None:
-        # Remember the status so the instrumentation wrapper can label
-        # ``repro_http_requests_total`` without threading it through
-        # every handler's return path.
-        self._telemetry_status = int(code)
+        # Count the request before any of its bytes go out: a client that
+        # reads this response and then scrapes /metrics must find it there.
+        self._count_request(str(int(code)))
         super().send_response(code, message)
+
+    def _count_request(self, status: str) -> None:
+        if self._uncounted is not None:
+            method, route = self._uncounted
+            self._uncounted = None
+            HTTP_REQUESTS.labels(method=method, route=route, status=status).inc()
 
     def _route_template(self, parts: List[str]) -> str:
         """Collapse a concrete path to a low-cardinality metric label."""
@@ -163,7 +171,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _instrumented(self, method: str, inner) -> None:
         parts = self._parts()
         route = self._route_template(parts)
-        self._telemetry_status = 0
+        self._uncounted = (method, route)
         started = time.perf_counter()
         try:
             inner(parts)
@@ -171,11 +179,8 @@ class _Handler(BaseHTTPRequestHandler):
             HTTP_REQUEST_SECONDS.labels(route=route).observe(
                 time.perf_counter() - started
             )
-            HTTP_REQUESTS.labels(
-                method=method,
-                route=route,
-                status=str(self._telemetry_status or 0),
-            ).inc()
+            # A handler that raised before responding still counts, as "0".
+            self._count_request("0")
 
     # -- verbs ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)

@@ -7,12 +7,25 @@ from typing import Optional, Union
 import numpy as np
 
 __all__ = [
+    "check_aligned",
     "check_array",
     "check_fraction",
     "check_positive_int",
     "check_probability",
     "check_random_state",
 ]
+
+
+def check_aligned(**sequences) -> None:
+    """Raise ``ValueError`` unless the named sequences all have one length.
+
+    Batch APIs take parallel sequences (one entry per item); ``zip`` would
+    silently drop the items past the shortest one.
+    """
+    lengths = {name: len(sequence) for name, sequence in sequences.items()}
+    if len(set(lengths.values())) > 1:
+        named = ", ".join(f"{name}={length}" for name, length in lengths.items())
+        raise ValueError(f"batch inputs must align one-to-one, got lengths {named}")
 
 
 def check_array(

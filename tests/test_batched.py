@@ -2,16 +2,19 @@
 
 The batching contract is *bitwise identity*: grouping B compatible work
 items (same pipeline, same hyperparameters, different seeds) into one
-vectorized multi-seed fit must produce, per item, exactly the floats the
-serial per-item path produces — scores, training histories, and every
-weight tensor.  That contract is pinned at four levels:
+vectorized multi-seed fit must produce, per item, exactly the floats a
+fit of that item alone (a batch of one) produces — scores, training
+histories, and every weight tensor.  That contract is pinned at four
+levels:
 
 * **kernels** — batched softmax / cross-entropy / mse and the stacked
-  :class:`BatchedNetwork` forward/backward agree bitwise with the serial
-  :mod:`repro.pipelines.nn` implementations per stacked slice;
+  :class:`BatchedNetwork` forward/backward agree bitwise with the
+  single-network :mod:`repro.pipelines.nn` implementations per stacked
+  slice;
 * **pipelines** — ``fit_many`` on every vectorizing pipeline equals N
-  independent ``fit`` calls (weights, histories, scores), and pipelines
-  or inputs that cannot stack fall back to the sequential path;
+  independent ``fit`` calls (weights, histories, scores), inputs of mixed
+  shapes stack per shape group, and ``fit`` itself matches outputs
+  recorded from an independent implementation;
 * **engine** — ``StudyRunner`` with any ``batch_size`` and any executor
   backend returns measurements bitwise-equal to the unbatched serial
   runner, with progress ticks still firing once per *measurement*;
@@ -43,7 +46,7 @@ from repro.engine.runner import StudyRunner, WorkItem
 from repro.engine.shm import DatasetHandle, SharedDatasetArena, shared_arena
 from repro.pipelines.base import Pipeline, FitOutcome
 from repro.pipelines.linear import LogisticRegressionPipeline, RidgeRegressionPipeline
-from repro.pipelines.mlp import MLPClassifierPipeline, MLPRegressorPipeline, _stackable
+from repro.pipelines.mlp import MLPClassifierPipeline, MLPRegressorPipeline
 from repro.pipelines.nn.batched import (
     BatchedNetwork,
     batched_cross_entropy_loss,
@@ -142,7 +145,7 @@ class TestBatchedKernels:
 
 
 # ----------------------------------------------------------------------
-# Pipelines: fit_many == N x fit, bitwise; non-stackable inputs fall back
+# Pipelines: fit_many == N x fit, bitwise; mixed shapes stack per group
 # ----------------------------------------------------------------------
 PIPELINES = [
     pytest.param(
@@ -192,16 +195,17 @@ def _assert_outcomes_bitwise(batched, serial):
             np.testing.assert_array_equal(b_got, b_expected)
 
 
+def _train_valid(task_type):
+    dataset = _dataset_for(task_type)
+    train = Dataset(dataset.X[:90], dataset.y[:90], name="t", task_type=task_type)
+    valid = Dataset(dataset.X[90:], dataset.y[90:], name="v", task_type=task_type)
+    return train, valid
+
+
 class TestFitManyParity:
     @pytest.mark.parametrize("pipeline,task_type", PIPELINES)
     def test_fit_many_bitwise_equals_serial_fits(self, pipeline, task_type):
-        dataset = _dataset_for(task_type)
-        train = Dataset(
-            dataset.X[:90], dataset.y[:90], name="t", task_type=task_type
-        )
-        valid = Dataset(
-            dataset.X[90:], dataset.y[90:], name="v", task_type=task_type
-        )
+        train, valid = _train_valid(task_type)
         bundles = _bundles("fit", 4)
         hparams = pipeline.default_hparams()
         serial = [
@@ -212,19 +216,52 @@ class TestFitManyParity:
         )
         _assert_outcomes_bitwise(batched, serial)
 
-    def test_mismatched_shapes_fall_back_to_sequential(self):
+    def test_mixed_shapes_stack_per_shape_group(self, monkeypatch):
+        import repro.pipelines.mlp as mlp
+
         pipeline = MLPClassifierPipeline(hidden_sizes=(8,), n_epochs=2)
         dataset = _blobs()
         train_a = Dataset(dataset.X[:60], dataset.y[:60], name="a")
         train_b = Dataset(dataset.X[:80], dataset.y[:80], name="b")
-        assert not _stackable(pipeline, [train_a, train_b])
-        bundles = _bundles("fallback", 2)
+        # Same shape as train_a, but without the top class: a narrower output.
+        two_classes = dataset.y < 2
+        train_narrow = Dataset(
+            dataset.X[two_classes][:60], dataset.y[two_classes][:60], name="n"
+        )
+        trains = [train_a, train_b, train_narrow, train_a]
+        bundles = _bundles("groups", 4)
         hparams = pipeline.default_hparams()
-        serial = [
-            pipeline.fit(t, hparams, s) for t, s in zip([train_a, train_b], bundles)
-        ]
-        batched = pipeline.fit_many([train_a, train_b], hparams, bundles)
-        _assert_outcomes_bitwise(batched, serial)
+        singles = [pipeline.fit(t, hparams, s) for t, s in zip(trains, bundles)]
+
+        kernel_batches = []
+        kernel = mlp.train_network_many
+
+        def counting_kernel(batched, *args):
+            kernel_batches.append(batched.n_items)
+            return kernel(batched, *args)
+
+        monkeypatch.setattr(mlp, "train_network_many", counting_kernel)
+        batched = pipeline.fit_many(trains, hparams, bundles)
+        _assert_outcomes_bitwise(batched, singles)
+        assert kernel_batches == [2, 1, 1]
+
+    def test_misaligned_batch_inputs_raise(self):
+        from repro.pipelines.base import fit_and_score_many
+        from repro.pipelines.ensemble import EnsembleMLPRegressorPipeline
+
+        train, valid = _train_valid("classification")
+        bundles = _bundles("align", 3)
+        pipeline = MLPClassifierPipeline(hidden_sizes=(8,), n_epochs=1)
+        hparams = pipeline.default_hparams()
+        with pytest.raises(ValueError, match="trains=3, seeds_list=3, valids=1"):
+            pipeline.fit_many([train] * 3, hparams, bundles, valids=[valid])
+        with pytest.raises(ValueError, match="trains=3, seeds_list=2"):
+            pipeline.fit_many([train] * 3, hparams, bundles[:2])
+        with pytest.raises(ValueError, match="tests=1"):
+            fit_and_score_many(pipeline, [train] * 3, [valid], hparams, bundles)
+        ensemble = EnsembleMLPRegressorPipeline(n_members=1)
+        with pytest.raises(ValueError, match="trains=3, seeds_list=3, valids=1"):
+            ensemble.fit_many([train] * 3, {}, bundles, valids=[valid])
 
     def test_default_fit_many_is_sequential_for_plain_pipelines(self):
         class Stub(Pipeline):
@@ -268,6 +305,87 @@ class TestFitManyParity:
             assert got.valid_score == expected.valid_score
             assert got.train_score == expected.train_score
             assert got.hparams == expected.hparams
+
+
+# ----------------------------------------------------------------------
+# Pinned outputs: the training loop against recorded values
+# ----------------------------------------------------------------------
+def _augmented_toggled_mlp():
+    from repro.data.augmentation import GaussianJitter
+
+    return MLPClassifierPipeline(
+        hidden_sizes=(8,),
+        n_epochs=3,
+        dropout_rate=0.2,
+        augmentations=(GaussianJitter(0.05),),
+    ).with_noise_layers("augment+dropout")
+
+
+PINNED_PIPELINES = {
+    **{param.id: param.values for param in PIPELINES},
+    "mlp-augment-dropout-only": (_augmented_toggled_mlp(), "classification"),
+}
+
+#: One ``fit`` per config: ``(loss history, train score, valid score,
+#: sum of each weight tensor)``.  Recorded from the per-item training loop
+#: that predates the stacked kernel, so they check the loop independently
+#: of ``fit_many``.  ``rtol=1e-9`` absorbs last-digit differences between
+#: numpy/BLAS builds; a change in seed consumption order or in an update
+#: formula moves them far more.
+PINNED = {
+    "logistic": (
+        [0.914071722601331, 0.6731298482137267, 0.45534127907944144],
+        0.8444444444444444,
+        0.9,
+        [-0.6516230576890827],
+    ),
+    "mlp-augment-dropout-only": (
+        [1.2342985505676203, 1.1404019057858528, 0.9576279545052865],
+        0.6888888888888889,
+        0.7,
+        [4.51663399015716, 3.0479130351824115],
+    ),
+    "mlp-classifier": (
+        [1.3292607801683336, 1.062382767016346, 0.8091928050137224],
+        0.7444444444444445,
+        0.6333333333333333,
+        [-2.504889259819898, 1.5081213781401535],
+    ),
+    "mlp-dropout-noise-adam": (
+        [2.033613648531463, 2.255208486356111, 1.859786852703105],
+        0.6444444444444445,
+        0.7666666666666667,
+        [17.337725658258897, -3.025250914830586, -7.6046176512991455],
+    ),
+    "mlp-regressor": (
+        [2.2700085279849853, 1.1838956751491456, 0.385876227645056],
+        0.9041030005630508,
+        0.7877356127651793,
+        [0.3369333358732223, -0.07340057519817672],
+    ),
+    "ridge": (
+        [3.3612552951537467, 1.0461120222566553, 1.0385386449515106],
+        0.7274627086658423,
+        0.5893689377899477,
+        [1.824896544065683],
+    ),
+}
+
+
+class TestPinnedFitOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_PIPELINES))
+    def test_fit_matches_pinned_outputs(self, name):
+        pipeline, task_type = PINNED_PIPELINES[name]
+        train, valid = _train_valid(task_type)
+        outcome = pipeline.fit(
+            train, pipeline.default_hparams(), _bundles("pin", 1)[0], valid=valid
+        )
+        losses, train_score, valid_score, sums = PINNED[name]
+        np.testing.assert_allclose(outcome.history["losses"], losses, rtol=1e-9)
+        np.testing.assert_allclose(outcome.train_score, train_score, rtol=1e-9)
+        np.testing.assert_allclose(outcome.valid_score, valid_score, rtol=1e-9)
+        got = [float(weights.sum()) for weights in outcome.model.weights]
+        np.testing.assert_allclose(got, sums, rtol=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,32 @@
-"""Tests for the seed-controlled training loop."""
+"""Tests for the seed-controlled training loop, driven one network at a time."""
 
 import numpy as np
 import pytest
 
 from repro.data.augmentation import GaussianJitter
+from repro.pipelines.nn.batched import BatchedNetwork
 from repro.pipelines.nn.network import MLPNetwork
 from repro.pipelines.nn.optimizers import SGD
 from repro.pipelines.nn.schedules import ExponentialDecaySchedule
-from repro.pipelines.training import TrainingConfig, train_network
-from repro.utils.rng import SeedBundle
+from repro.pipelines.training import TrainingConfig, train_network_many
 
 
 def _make_network(seeds):
     return MLPNetwork([6, 8, 3], init_rng=seeds.rng_for("init"), dropout_rate=0.2)
 
 
+def _train_alone(network, train, optimizer, config, seeds):
+    """Train ``network`` in place through the training loop at B=1."""
+    batched = BatchedNetwork([network])
+    (history,) = train_network_many(batched, [train], optimizer, config, [seeds])
+    batched.unstack()
+    return history
+
+
 class TestTrainNetwork:
     def test_loss_decreases(self, blobs_dataset, seed_bundle):
         network = _make_network(seed_bundle)
-        history = train_network(
+        history = _train_alone(
             network,
             blobs_dataset,
             SGD(learning_rate=0.1, momentum=0.9),
@@ -29,7 +37,7 @@ class TestTrainNetwork:
 
     def test_history_lengths(self, blobs_dataset, seed_bundle):
         network = _make_network(seed_bundle)
-        history = train_network(
+        history = _train_alone(
             network,
             blobs_dataset,
             SGD(learning_rate=0.05),
@@ -41,7 +49,7 @@ class TestTrainNetwork:
 
     def test_schedule_applied(self, blobs_dataset, seed_bundle):
         network = _make_network(seed_bundle)
-        history = train_network(
+        history = _train_alone(
             network,
             blobs_dataset,
             SGD(learning_rate=0.1),
@@ -54,7 +62,7 @@ class TestTrainNetwork:
         outputs = []
         for _ in range(2):
             network = _make_network(seed_bundle)
-            train_network(
+            _train_alone(
                 network,
                 blobs_dataset,
                 SGD(learning_rate=0.05, momentum=0.9),
@@ -68,7 +76,7 @@ class TestTrainNetwork:
         results = []
         for bundle in (seed_bundle, seed_bundle.randomized(["order"], rng)):
             network = _make_network(seed_bundle)  # same init for both
-            train_network(
+            _train_alone(
                 network,
                 blobs_dataset,
                 SGD(learning_rate=0.05, momentum=0.9),
@@ -82,7 +90,7 @@ class TestTrainNetwork:
         quiet = _make_network(seed_bundle)
         noisy = _make_network(seed_bundle)
         for network, scale in ((quiet, 0.0), (noisy, 1e-3)):
-            train_network(
+            _train_alone(
                 network,
                 blobs_dataset,
                 SGD(learning_rate=0.05),
@@ -93,7 +101,7 @@ class TestTrainNetwork:
 
     def test_invalid_config_rejected(self, blobs_dataset, seed_bundle):
         with pytest.raises(ValueError):
-            train_network(
+            _train_alone(
                 _make_network(seed_bundle),
                 blobs_dataset,
                 SGD(learning_rate=0.05),

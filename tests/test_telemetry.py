@@ -547,6 +547,38 @@ class TestServeTelemetry:
                 body.decode(),
             )
 
+    def test_request_counted_before_its_response_is_read(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.serve.server as server_module
+        from repro.telemetry.instruments import HTTP_REQUESTS
+
+        # Hold each handler after its response is sent, where it observes
+        # the latency, so a late count cannot catch up before the check.
+        release = threading.Event()
+        latency = server_module.HTTP_REQUEST_SECONDS
+
+        class HeldLatency:
+            def labels(self, **labels):
+                child = latency.labels(**labels)
+
+                def observe(value):
+                    release.wait(DEADLINE)
+                    child.observe(value)
+
+                return SimpleNamespace(observe=observe)
+
+        monkeypatch.setattr(server_module, "HTTP_REQUEST_SECONDS", HeldLatency())
+        health = dict(method="GET", route="/v1/health", status="200")
+        with serving(tmp_path) as server:
+            try:
+                before = HTTP_REQUESTS.value(**health)
+                status, _ = _get_json(server, "/v1/health")
+                assert status == 200
+                assert HTTP_REQUESTS.value(**health) == before + 1
+            finally:
+                release.set()
+
     def test_job_and_task_metrics_move(self, tmp_path):
         with serving(tmp_path) as server:
             _, accepted = _post_json(
