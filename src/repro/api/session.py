@@ -39,6 +39,11 @@ For concurrent persistence, pass ``cache_dir=...``: the shared cache then
 writes one file per measurement hash (atomic rename), so any number of
 sessions — or shard workers inside one session — can share the directory
 without lock contention.
+
+A process-backend executor keeps one pool of worker processes for the
+session's lifetime, so every study and batch after the first reuses warm
+children; :meth:`Session.close` (or leaving the ``with`` block) shuts the
+pools down.
 """
 
 from __future__ import annotations
@@ -337,15 +342,17 @@ class SuiteHandle:
         """Yield ``(name, result)`` as members complete (streaming order).
 
         Cancelled members are skipped rather than raised, so a consumer
-        can drain whatever completed before a :meth:`cancel`.
+        can drain whatever completed before a :meth:`cancel`.  Members
+        seen finished together stream in schedule order, so a dependency
+        never follows its dependents.
         """
         pending = {future: name for name, future in self._futures.items()}
+        rank = {name: index for index, name in enumerate(self.suite.schedule_order())}
         while pending:
             finished, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for future in finished:
-                name = pending.pop(future)
+            for name in sorted(map(pending.pop, finished), key=rank.__getitem__):
                 try:
-                    yield name, future.result()
+                    yield name, self._futures[name].result()
                 except (CancelledError, StudyCancelled):
                     continue
 
@@ -354,6 +361,11 @@ class SuiteHandle:
 
 class Session:
     """Shared-engine execution context for registered studies.
+
+    The session owns its executors, one per ``(n_jobs, backend)``.  On the
+    process backend each executor forks its worker pool at its first
+    batch and reuses it for every later batch of every study, including
+    concurrent :meth:`submit` shards, until :meth:`close`.
 
     Parameters
     ----------
@@ -464,20 +476,26 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """Shut down the submit pool and persist disk-backed caches.
+        """Shut down the submit pool and the executors' process pools, and
+        persist disk-backed caches.
 
-        Every cache bound to a file path — a ``Session(cache="...")``
-        shared cache or per-spec ``StudySpec(cache="file.pkl")`` caches —
-        is saved here (each run that added entries also saved eagerly, so
-        this is a final belt-and-braces snapshot).  Blocking :meth:`run`
-        stays usable after close.
+        Submitted studies finish first; then every executor's worker
+        processes exit.  Every cache bound to a file path — a
+        ``Session(cache="...")`` shared cache or per-spec
+        ``StudySpec(cache="file.pkl")`` caches — is saved here (each run
+        that added entries also saved eagerly, so this is a final
+        belt-and-braces snapshot).  Blocking :meth:`run` stays usable
+        after close; its first process batch forks a new pool.
         """
         with self._lock:
             pool, self._pool = self._pool, None
             self._closed = True
             file_caches = list(self._file_caches.values())
+            executors = list(self._executors.values())
         if pool is not None:
             pool.shutdown(wait=True)
+        for executor in executors:
+            executor.close()
         for cache in (self.cache, *file_caches):
             if cache.cache_dir is not None:
                 cache.save()  # entries were written through; refresh the index

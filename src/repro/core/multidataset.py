@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.core.significance import (
     SignificanceReport,
     probability_of_outperforming_test,
 )
+from repro.stats._ndtri import norm_ppf
 from repro.stats.tests import TestResult
 from repro.utils.validation import check_array, check_fraction
 
@@ -62,6 +62,8 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> TestResult:
     differences = a - b
     if np.allclose(differences, 0):
         return TestResult(statistic=0.0, pvalue=1.0, effect=0.0, df=float(a.size - 1))
+    from scipy import stats as sps
+
     res = sps.wilcoxon(a, b, alternative="greater", zero_method="wilcox")
     return TestResult(
         statistic=float(res.statistic),
@@ -88,6 +90,8 @@ def friedman_test(scores: np.ndarray) -> TestResult:
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[0] < 2 or scores.shape[1] < 3:
         raise ValueError("scores must be (n_datasets >= 2, n_algorithms >= 3)")
+    from scipy import stats as sps
+
     res = sps.friedmanchisquare(*[scores[:, j] for j in range(scores.shape[1])])
     ranks = np.apply_along_axis(sps.rankdata, 1, -scores)
     average_ranks = ranks.mean(axis=0)
@@ -166,8 +170,8 @@ def corrected_gamma(gamma: float, n_comparisons: int, alpha: float = 0.05) -> fl
         return gamma
     # Scale the margin above 0.5 by the ratio of corrected to nominal
     # one-sided normal quantiles, capping below 1.
-    nominal = sps.norm.ppf(1.0 - alpha)
-    corrected = sps.norm.ppf(1.0 - alpha / n_comparisons)
+    nominal = norm_ppf(1.0 - alpha)
+    corrected = norm_ppf(1.0 - alpha / n_comparisons)
     margin = (gamma - 0.5) * corrected / nominal
     return float(min(0.5 + margin, 0.999))
 
@@ -244,6 +248,8 @@ def replicability_analysis(
         raise ValueError("scores_a and scores_b must cover the same datasets")
     if correction not in ("bonferroni", "holm"):
         raise ValueError("correction must be 'bonferroni' or 'holm'")
+    from scipy import stats as sps
+
     names = sorted(scores_a)
     m = len(names)
     result = MultiDatasetComparison(correction=correction)

@@ -16,8 +16,8 @@ With the paper's recommended threshold :math:`\\gamma = 0.75` and
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
+from repro.stats._ndtri import norm_ppf
 from repro.utils.validation import check_fraction
 
 __all__ = ["minimum_sample_size", "sample_size_curve"]
@@ -52,7 +52,7 @@ def minimum_sample_size(
     beta = check_fraction(beta, "beta")
     if gamma == 0.5:
         raise ValueError("gamma must differ from 0.5")
-    numerator = sps.norm.ppf(1.0 - alpha) - sps.norm.ppf(beta)
+    numerator = norm_ppf(1.0 - alpha) - norm_ppf(beta)
     denominator = np.sqrt(6.0) * (0.5 - gamma)
     return int(np.ceil((numerator / denominator) ** 2))
 

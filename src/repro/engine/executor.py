@@ -14,19 +14,36 @@ and return results in submission order*.  Three backends are supported:
     :class:`~concurrent.futures.ProcessPoolExecutor`; the function and
     items must be picklable, best for pure-Python training loops.
 
+Pool lifetime
+-------------
+A process-backend executor forks one pool of ``n_jobs`` children at its
+first process map and reuses it for every later map, so a session pays
+for the fork once, not once per batch.  :meth:`ParallelExecutor.close`
+shuts the pool down and waits for the children to exit; a map after
+``close`` forks a new pool.  An executor nobody closes (such as a
+:class:`~repro.engine.runner.StudyRunner`'s default one) holds the only
+reference to its pool, so collecting it lets the pool's manager thread
+shut the children down.  A child that dies breaks the pool: the map in
+flight raises :class:`~concurrent.futures.process.BrokenProcessPool`,
+the pool is dropped, and the next map forks a new one.  The thread
+backend still builds a pool per map; threads are cheap to start.
+
 Because every study pre-draws its seeds *before* submitting work, results
-are bitwise independent of the backend, the number of workers, and the
-completion order.
+are bitwise independent of the backend, the number of workers, the
+completion order and the age of the pool.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import multiprocessing
 import os
+import queue
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.telemetry.instruments import (
@@ -46,24 +63,31 @@ __all__ = [
 class StudyCancelled(RuntimeError):
     """Raised inside a work fan-out once its cancellation event is set."""
 
-#: Per-process cancellation flag installed in pool workers (see
-#: :func:`_install_process_cancel`).  A plain module global: each worker
-#: process owns its interpreter, and the parent never sets it.
-_PROCESS_CANCEL = None
+
+#: Slots per executor, one per process map in flight; a map beyond this
+#: many concurrent ones waits until a slot frees up.
+_SLOT_COUNT = 64
+
+#: The executor's shared slot array, installed in every pool child by
+#: :func:`_install_live_maps`: each slot holds the token of the map that
+#: owns it while that map is live, and 0 once it is cancelled or over.  A
+#: plain module global: each child owns its interpreter, and the parent
+#: never reads it.
+_LIVE_MAPS = None
 
 
-def _install_process_cancel(event) -> None:
-    """Pool initializer: remember the shared multiprocessing event."""
-    global _PROCESS_CANCEL
-    _PROCESS_CANCEL = event
+def _install_live_maps(slots) -> None:
+    """Pool initializer: remember the executor's shared slot array."""
+    global _LIVE_MAPS
+    _LIVE_MAPS = slots
 
 
-def _cancel_checked(fn, item):
-    """Per-item guard run inside pool workers: check the relayed event
-    before every item, so a cancelled process batch stops between items
-    instead of draining to the batch boundary."""
-    event = _PROCESS_CANCEL
-    if event is not None and event.is_set():
+def _while_live(fn, slot, token, item):
+    """Per-item guard run inside pool children: run ``item`` only while its
+    map is live.  A cancelled process map thus stops between items instead
+    of draining to the chunk boundary, and chunks still queued when a map
+    ends early (cancelled or failed) are skipped, not run."""
+    if _LIVE_MAPS[slot] != token:
         raise StudyCancelled("batch cancelled mid-run")
     return fn(item)
 
@@ -159,6 +183,17 @@ class ParallelExecutor:
         if int(batch_size) < 1:
             raise ValueError("batch_size must be a positive integer")
         self.batch_size = int(batch_size)
+        # Process backend state: the pool, forked at the first process map,
+        # and the slot array shared with its children (one slot per map in
+        # flight).  Nothing else may reference the pool (see the module
+        # notes on pool lifetime).
+        self._lock = threading.Lock()
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._slots = None
+        self._free_slots: "queue.SimpleQueue[int]" = queue.SimpleQueue()
+        for slot in range(_SLOT_COUNT):
+            self._free_slots.put(slot)
+        self._tokens = itertools.count(1)
 
     @property
     def effective_backend(self) -> str:
@@ -178,13 +213,22 @@ class ParallelExecutor:
     ) -> List[R]:
         """Apply ``fn`` to every item; results keep the submission order.
 
+        The process backend runs every map on the executor's one pool
+        (see the module notes), sized ``n_jobs`` and split into chunks of
+        ``ceil(len(items) / min(n_jobs, len(items)))`` items unless
+        ``chunksize`` says otherwise; several threads may map on one
+        executor at once.
+
         When ``cancel`` is given, the fan-out stops as soon as the event is
         observed set: always before the batch starts, and per item on
         every backend.  The process backend cannot see a
-        :class:`threading.Event` across pickling, so a relay thread
-        mirrors it into a :class:`multiprocessing.Event` installed in each
-        pool worker, and a per-item guard checks that before every call —
-        in-flight items finish, queued items of the same batch do not.
+        :class:`threading.Event` across pickling.  Each process map takes
+        a slot in a small array shared with the pool children and marks
+        it live; a relay thread clears the slot when the event fires, and
+        a per-item guard in the child checks the slot before every call —
+        in-flight items finish, queued items of the same map do not, and
+        other maps on the pool run on.  The map does not wait for its
+        relay to exit.
         Cancellation raises :class:`StudyCancelled` rather than returning
         partial results, so a caller can never mistake a truncated batch
         for a complete one.
@@ -231,6 +275,49 @@ class ParallelExecutor:
                 time.perf_counter() - started
             )
 
+    def close(self) -> None:
+        """Shut the process pool down and wait for its children to exit.
+
+        Idempotent.  The executor stays usable: the next process map forks
+        a new pool.
+        """
+        self._drop_pool(self._pool, wait=True)
+
+    def _process_pool(self) -> ProcessPoolExecutor:
+        """The executor's process pool, forked at first use."""
+        with self._lock:
+            if self._pool is None:
+                if self._slots is None:
+                    self._slots = multiprocessing.RawArray("q", _SLOT_COUNT)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.n_jobs,
+                    initializer=_install_live_maps,
+                    initargs=(self._slots,),
+                )
+            return self._pool
+
+    def _drop_pool(self, pool: Optional[ProcessPoolExecutor], *, wait: bool) -> None:
+        """Shut ``pool`` down if it is still this executor's pool."""
+        with self._lock:
+            if pool is None or pool is not self._pool:
+                return
+            self._pool = None
+        pool.shutdown(wait=wait)
+
+    def _relay(self, cancel: threading.Event, slot: int, token: int) -> None:
+        """Clear a map's slot once its cancel event fires; stop with the map.
+
+        The slot is cleared under the lock and only while it still holds
+        the map's token, so a relay that wakes late cannot cancel the
+        slot's next owner.
+        """
+        while self._slots[slot] == token:
+            if cancel.wait(0.02):
+                with self._lock:
+                    if self._slots[slot] == token:
+                        self._slots[slot] = 0
+                return
+
     def _dispatch(
         self,
         fn: Callable[[T], R],
@@ -265,46 +352,35 @@ class ParallelExecutor:
         chunksize = self.chunksize
         if chunksize is None:
             chunksize = max(1, -(-len(items) // workers))
-        if cancel is None:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return _drain(
-                    pool.map(fn, items, chunksize=chunksize), tick, weights, item_done
-                )
-        # Mirror the caller's threading event into a multiprocessing event
-        # the pool workers can observe; the relay thread dies with the map.
-        context = multiprocessing.get_context()
-        process_cancel = context.Event()
-        relay_stop = threading.Event()
-
-        def _relay() -> None:
-            while not relay_stop.is_set():
-                if cancel.wait(0.02):
-                    process_cancel.set()
-                    return
-
-        relay = threading.Thread(
-            target=_relay, name="repro-cancel-relay", daemon=True
-        )
-        relay.start()
+        pool = self._process_pool()
+        slot = self._free_slots.get()
+        token = next(self._tokens)
+        with self._lock:
+            self._slots[slot] = token
+        guarded = functools.partial(_while_live, fn, slot, token)
         try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_install_process_cancel,
-                initargs=(process_cancel,),
-            ) as pool:
-                return _drain(
-                    pool.map(
-                        functools.partial(_cancel_checked, fn),
-                        items,
-                        chunksize=chunksize,
-                    ),
-                    tick,
-                    weights,
-                    item_done,
-                )
+            try:
+                results = pool.map(guarded, items, chunksize=chunksize)
+            except BrokenProcessPool:
+                # A child died while the pool sat idle, so none of this map
+                # ran: fork a new pool and submit again.
+                self._drop_pool(pool, wait=False)
+                pool = self._process_pool()
+                results = pool.map(guarded, items, chunksize=chunksize)
+            if cancel is not None:
+                threading.Thread(
+                    target=self._relay,
+                    args=(cancel, slot, token),
+                    name="repro-cancel-relay",
+                    daemon=True,
+                ).start()
+            return _drain(results, tick, weights, item_done)
+        except BrokenProcessPool:
+            self._drop_pool(pool, wait=False)
+            raise
         finally:
-            relay_stop.set()
-            relay.join()
+            self._slots[slot] = 0  # the map is over: its queued chunks skip
+            self._free_slots.put(slot)
 
 
 class CancellableExecutor:

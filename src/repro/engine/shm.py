@@ -21,15 +21,26 @@ attachments deliberately skip ``resource_tracker`` registration
 workers share the parent's tracker process), so a worker exiting — or
 being SIGKILLed — neither unlinks the parent's segments nor corrupts the
 tracker's create-side bookkeeping.
+
+A pool child lives as long as its executor — a whole session — so it keeps
+at most ``_MAX_ATTACHED`` datasets attached, evicting the least recently
+used when it attaches another.  Attaching happens while a task is
+unpickled, between tasks, so an evicted dataset is normally unreferenced
+and its segments close at once.  Closing unmaps the memory whether or not
+an array still views it (NumPy holds no buffer export that would make it
+raise ``BufferError``), so segments whose arrays are still alive stay
+mapped until a later eviction finds them gone.  Closing only unmaps the
+child's view; the parent unlinks.
 """
 
 from __future__ import annotations
 
 import contextlib
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,16 +103,26 @@ class DatasetHandle:
         return _attach(self)
 
 
-#: Per-process attachment cache: a worker re-attaching the same segments for
-#: every task would pay a syscall per task and could close a buffer still in
-#: use; one attachment per (x, y) pair lives for the worker's lifetime.
-_ATTACHED: Dict[Tuple[str, str], Tuple[Dataset, Tuple[shared_memory.SharedMemory, ...]]] = {}
+#: Most datasets one process keeps attached (see the module notes).
+_MAX_ATTACHED = 8
+
+#: Per-process attachment cache, least recently used first: a worker
+#: re-attaching the same segments for every task would pay a syscall per
+#: task.  Each entry holds the dataset, weak references to the two arrays
+#: built on the segments (every view of them keeps them alive) and the
+#: segments.  Keyed by the whole handle, so a segment name the parent
+#: reuses after an unlink never maps to a stale attachment of other data.
+_ATTACHED: "OrderedDict[DatasetHandle, Tuple[Dataset, Tuple[weakref.ref, ...], Tuple[shared_memory.SharedMemory, ...]]]" = OrderedDict()
+
+#: Evicted ``(array references, segments)`` whose arrays were still alive
+#: at eviction; their segments close at a later eviction.
+_EVICTED: List[Tuple[Tuple[weakref.ref, ...], Tuple[shared_memory.SharedMemory, ...]]] = []
 
 
 def _attach(handle: DatasetHandle) -> Dataset:
-    key = (handle.x_name, handle.y_name)
-    cached = _ATTACHED.get(key)
+    cached = _ATTACHED.get(handle)
     if cached is not None:
+        _ATTACHED.move_to_end(handle)
         return cached[0]
     with _untracked_attach():
         segment_x = shared_memory.SharedMemory(name=handle.x_name)
@@ -113,8 +134,30 @@ def _attach(handle: DatasetHandle) -> Dataset:
         # Pre-seed the content-address memo so measurement_key never
         # re-hashes the shared arrays.
         object.__setattr__(dataset, "_repro_content_token", handle.token)
-    _ATTACHED[key] = (dataset, (segment_x, segment_y))
+    _ATTACHED[handle] = (
+        dataset,
+        (weakref.ref(X), weakref.ref(y)),
+        (segment_x, segment_y),
+    )
+    _evict()
     return dataset
+
+
+def _evict() -> None:
+    """Drop the least recently used attachments beyond ``_MAX_ATTACHED``,
+    then close the segments of every evicted one whose arrays are gone."""
+    while len(_ATTACHED) > _MAX_ATTACHED:
+        # Index, don't unpack: a name bound to the dataset would keep it,
+        # and so its arrays, alive.
+        _EVICTED.append(_ATTACHED.popitem(last=False)[1][1:])
+    still_viewed = []
+    for arrays, segments in _EVICTED:
+        if any(array() is not None for array in arrays):
+            still_viewed.append((arrays, segments))
+            continue
+        for segment in segments:
+            segment.close()
+    _EVICTED[:] = still_viewed
 
 
 def _release_segments(names: Tuple[str, str]) -> None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.api.registry import register_study
 from repro.core.comparison import (
@@ -33,6 +32,7 @@ from repro.simulation.detection import (
 )
 from repro.simulation.oracle import OracleComparison
 from repro.simulation.performance_model import DEFAULT_SIMULATED_TASKS, SimulatedTask
+from repro.stats._ndtri import norm_ppf
 from repro.utils.rng import SeedScope
 from repro.utils.tables import format_table
 
@@ -317,7 +317,7 @@ def run_robustness_study(
     )
     result.by_threshold["average"] = robustness_to_threshold(
         lambda gamma: AverageComparison(
-            delta=float(sps.norm.ppf(gamma)) * task.sigma
+            delta=norm_ppf(gamma) * task.sigma
         ),
         task,
         thresholds=thresholds,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["expected_improvement", "upper_confidence_bound"]
 
@@ -25,6 +24,8 @@ def expected_improvement(
     xi:
         Exploration bonus.
     """
+    from scipy import stats as sps
+
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     improvement = best_value - mean - xi

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import linalg
 
 __all__ = ["rbf_kernel", "GaussianProcess"]
 
@@ -101,6 +100,8 @@ class GaussianProcess:
         y_normalized = (y - self._y_mean) / self._y_std
         K = rbf_kernel(X, X, self.length_scale, self.signal_variance)
         K[np.diag_indices_from(K)] += self.noise_variance
+        from scipy import linalg
+
         self._cholesky = linalg.cholesky(K, lower=True)
         self._alpha = linalg.cho_solve((self._cholesky, True), y_normalized)
         self._X = X
@@ -113,6 +114,8 @@ class GaussianProcess:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         K_star = rbf_kernel(X, self._X, self.length_scale, self.signal_variance)
         mean = K_star @ self._alpha
+        from scipy import linalg
+
         v = linalg.solve_triangular(self._cholesky, K_star.T, lower=True)
         prior_var = self.signal_variance
         variance = np.maximum(prior_var - np.sum(v**2, axis=0), 1e-12)

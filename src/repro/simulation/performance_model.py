@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
+from repro.stats._ndtri import norm_ppf
 from repro.utils.validation import check_positive_int, check_probability, check_random_state
 
 __all__ = [
@@ -184,6 +184,8 @@ def true_probability_of_outperforming(mean_shift: float, sigma: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    from scipy import stats as sps
+
     return float(sps.norm.cdf(mean_shift / (np.sqrt(2.0) * sigma)))
 
 
@@ -199,4 +201,4 @@ def mean_shift_for_probability(p_a_gt_b: float, sigma: float) -> float:
         raise ValueError("sigma must be positive")
     if p_a_gt_b in (0.0, 1.0):
         raise ValueError("p_a_gt_b must be strictly inside (0, 1)")
-    return float(np.sqrt(2.0) * sigma * sps.norm.ppf(p_a_gt_b))
+    return float(np.sqrt(2.0) * sigma * norm_ppf(p_a_gt_b))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
+from repro.stats._ndtri import norm_ppf
 from repro.utils.validation import check_random_state
 
 __all__ = [
@@ -142,7 +142,7 @@ def significance_timeline(
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    threshold = float(sps.norm.ppf(1.0 - alpha) * np.sqrt(2.0) * sigma)
+    threshold = float(norm_ppf(1.0 - alpha) * np.sqrt(2.0) * sigma)
     ordered = sorted(results, key=lambda r: r.year)
     entries: List[TimelineEntry] = []
     best_so_far = None

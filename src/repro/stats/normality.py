@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.utils.validation import check_array
 
@@ -51,6 +50,8 @@ def shapiro_wilk_pvalue(values: np.ndarray) -> float:
     Degenerate samples (length < 3 or zero variance) return ``0.0`` since
     normality cannot be supported.
     """
+    from scipy import stats as sps
+
     values = check_array(values, ndim=1, min_length=1, name="values")
     if values.size < 3 or np.std(values) == 0:
         return 0.0
@@ -59,6 +60,8 @@ def shapiro_wilk_pvalue(values: np.ndarray) -> float:
 
 def normality_report(values: np.ndarray) -> NormalityResult:
     """Full normality diagnostic for one sample of performance measures."""
+    from scipy import stats as sps
+
     values = check_array(values, ndim=1, min_length=1, name="values")
     if values.size < 3 or np.std(values) == 0:
         stat, pvalue = 0.0, 0.0

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.utils.validation import check_array
 
@@ -50,6 +49,8 @@ def z_test(a: np.ndarray, b: np.ndarray) -> TestResult:
     Suitable when per-group variances are reliable (large samples), which is
     the regime assumed in Section 3.1 of the paper.
     """
+    from scipy import stats as sps
+
     a = check_array(a, ndim=1, min_length=2, name="a")
     b = check_array(b, ndim=1, min_length=2, name="b")
     effect = float(np.mean(a) - np.mean(b))
@@ -64,6 +65,8 @@ def z_test(a: np.ndarray, b: np.ndarray) -> TestResult:
 
 def t_test(a: np.ndarray, b: np.ndarray) -> TestResult:
     """One-sided Welch t-test (unequal variances)."""
+    from scipy import stats as sps
+
     a = check_array(a, ndim=1, min_length=2, name="a")
     b = check_array(b, ndim=1, min_length=2, name="b")
     res = sps.ttest_ind(a, b, equal_var=False, alternative="greater")
@@ -83,6 +86,8 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> TestResult:
     which shrinks the standard deviation of the difference and increases
     statistical power relative to the unpaired test.
     """
+    from scipy import stats as sps
+
     a = check_array(a, ndim=1, min_length=2, name="a")
     b = check_array(b, ndim=1, min_length=2, name="b")
     if a.shape != b.shape:

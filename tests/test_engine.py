@@ -1,16 +1,26 @@
 """Tests for the parallel cached measurement engine (repro.engine)."""
 
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.estimators import FixHOptEstimator, IdealEstimator
 from repro.core.sources import VarianceSource
 from repro.core.variance import hpo_variance_study, variance_decomposition_study
+from repro.data.dataset import Dataset
+from repro.engine import shm
 from repro.engine import (
     CancellableExecutor,
     FileStore,
@@ -39,6 +49,28 @@ def _mark_and_sleep(item):
         pass
     time.sleep(0.05)
     return index
+
+
+def _pid_after_nap(item):
+    """Report the pool child that ran ``item``; the nap makes both children
+    of a two-process pool take part in a two-item map."""
+    time.sleep(0.2)
+    return os.getpid()
+
+
+def _die_on_three(item):
+    if item == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+def _slow_square(x):
+    time.sleep(0.01)
+    return x * x
+
+
+def _live_child_pids():
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 class TestParallelExecutor:
@@ -541,6 +573,237 @@ class TestCancellation:
             for partial in handle.partial_results():
                 assert partial.to_rows()
             assert handle.done()
+
+
+class TestProcessPoolLifetime:
+    """One pool per executor: forked at the first process map, reused by
+    every later map until close(), rebuilt after close() or a dead child."""
+
+    def test_maps_reuse_the_same_children(self):
+        executor = ParallelExecutor(2, backend="process")
+        try:
+            first = set(executor.map(_pid_after_nap, range(2)))
+            second = set(executor.map(_pid_after_nap, range(2)))
+            live = _live_child_pids()
+        finally:
+            executor.close()
+        assert len(first | second) <= 2
+        # The first map's children are still alive: no pool per map.
+        assert first | second <= live
+        assert not (first | second) & _live_child_pids()
+
+    def test_session_close_ends_children_and_run_still_works(self):
+        from repro.api import Session, StudySpec
+
+        spec = StudySpec(
+            study="binomial",
+            params=TestProcessBackendParity.PARAMS,
+            n_jobs=2,
+            backend="process",
+            random_state=5,
+        )
+        before = _live_child_pids()
+        session = Session(backend="process")
+        try:
+            first = session.run(spec)
+            children = _live_child_pids() - before
+            session.close()
+            assert not children & _live_child_pids()
+            # close() keeps its promise: blocking run() still works after it.
+            again = session.run(spec)
+        finally:
+            session.close()
+        canon = TestProcessBackendParity._canon
+        assert canon(again) == canon(first)
+
+    def test_unclosed_executor_releases_its_pool_when_collected(self):
+        executor = ParallelExecutor(2, backend="process")
+        pids = set(executor.map(_pid_after_nap, range(2)))
+        del executor
+        deadline = time.monotonic() + 30
+        while pids & _live_child_pids() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not pids & _live_child_pids()
+
+    def test_dead_child_fails_its_map_and_the_next_map_recovers(self):
+        executor = ParallelExecutor(2, backend="process")
+        try:
+            with pytest.raises(BrokenProcessPool):
+                executor.map(_die_on_three, range(6))
+            assert executor.map(_square, range(6)) == [x * x for x in range(6)]
+        finally:
+            executor.close()
+
+    def test_child_killed_between_maps_does_not_fail_the_next_map(self):
+        executor = ParallelExecutor(2, backend="process")
+        try:
+            pids = set(executor.map(_pid_after_nap, range(2)))
+            os.kill(min(pids), signal.SIGKILL)
+            # The pool notices the death, marks itself broken and reaps
+            # its children; the next map must fork a new pool, not fail.
+            deadline = time.monotonic() + 30
+            while pids & _live_child_pids() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not pids & _live_child_pids()
+            assert executor.map(_square, range(6)) == [x * x for x in range(6)]
+        finally:
+            executor.close()
+
+    def test_cancelling_one_of_two_concurrent_maps_spares_the_other(self, tmp_path):
+        # Both maps share the executor's pool; cancellation is per map.
+        executor = ParallelExecutor(2, backend="process")
+        cancel = threading.Event()
+        values = [x / 7.0 for x in range(16)]
+        outcome = {}
+
+        def started():
+            deadline = time.monotonic() + 60
+            while not any(tmp_path.iterdir()) and time.monotonic() < deadline:
+                time.sleep(0.002)
+
+        def cancel_after_first_item():
+            started()
+            cancel.set()
+
+        def other_map():
+            started()
+            outcome["other"] = executor.map(
+                _slow_square, values, cancel=threading.Event()
+            )
+
+        threads = [
+            threading.Thread(target=cancel_after_first_item),
+            threading.Thread(target=other_map),
+        ]
+        for thread in threads:
+            thread.start()
+        items = [(str(tmp_path), index) for index in range(24)]
+        try:
+            with pytest.raises(StudyCancelled):
+                executor.map(_mark_and_sleep, items, cancel=cancel)
+        finally:
+            for thread in threads:
+                thread.join(timeout=60)
+            executor.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert 1 <= len(list(tmp_path.iterdir())) < 24
+        assert outcome["other"] == [_slow_square(x) for x in values]
+
+
+class TestBoundedAttachments:
+    """Pool children keep at most ``shm._MAX_ATTACHED`` datasets mapped."""
+
+    def test_evicting_a_dataset_still_in_use_defers_its_close(self, monkeypatch):
+        monkeypatch.setattr(shm, "_MAX_ATTACHED", 1)
+        monkeypatch.setattr(shm, "_ATTACHED", OrderedDict())
+        monkeypatch.setattr(shm, "_EVICTED", [])
+        arena = shm.SharedDatasetArena()
+        rng = np.random.default_rng(0)
+        datasets = [
+            Dataset(rng.normal(size=(8, 2)), rng.integers(0, 2, 8)) for _ in range(3)
+        ]
+        try:
+            handles = [arena.publish(dataset) for dataset in datasets]
+            in_use = handles[0].materialize().X[1:5]
+            # Evicting the first dataset must not unmap memory a live view
+            # still reads: its segments stay open.
+            handles[1].materialize()
+            assert list(shm._ATTACHED) == [handles[1]]
+            assert len(shm._EVICTED) == 1
+            np.testing.assert_array_equal(in_use, datasets[0].X[1:5])
+            del in_use
+            # The next eviction finds the view gone and closes them.
+            handles[2].materialize()
+            assert list(shm._ATTACHED) == [handles[2]]
+            assert shm._EVICTED == []
+        finally:
+            monkeypatch.setattr(shm, "_MAX_ATTACHED", 0)
+            shm._evict()
+            arena.close()
+        assert not shm._ATTACHED and not shm._EVICTED
+
+    def test_children_keep_a_bounded_number_of_datasets_attached(self, tmp_path):
+        # A pool child lives as long as its executor; it must not keep
+        # every dataset the executor ever shipped it mapped.
+        script = tmp_path / "attach.py"
+        script.write_text(textwrap.dedent(
+            """
+            import json
+            import os
+            import time
+
+            import numpy as np
+
+            from repro.data.dataset import Dataset
+            from repro.engine import shm
+            from repro.engine.executor import ParallelExecutor
+
+
+            class Touch:
+                # Unpickling attaches the dataset, as a study task's does.
+                def __init__(self, handle):
+                    self.handle = handle
+
+                def __getstate__(self):
+                    return self.handle
+
+                def __setstate__(self, handle):
+                    self.handle = handle
+                    self.dataset = handle.materialize()
+
+                def __call__(self, row):
+                    return float(self.dataset.X[row].sum())
+
+
+            def probe(item):
+                time.sleep(0.1)
+                mapped = None
+                if os.path.exists("/proc/self/maps"):
+                    with open("/proc/self/maps") as maps:
+                        mapped = len(
+                            {line.split()[5] for line in maps if "/psm_" in line}
+                        )
+                return os.getpid(), len(shm._ATTACHED), mapped
+
+
+            def main():
+                executor = ParallelExecutor(2, backend="process", chunksize=1)
+                executor.map(probe, range(2))  # fork before any publish
+                rng = np.random.default_rng(0)
+                for _ in range(2 * shm._MAX_ATTACHED + 2):
+                    dataset = Dataset(rng.normal(size=(16, 3)), rng.integers(0, 2, 16))
+                    handle = shm.shared_arena().publish(dataset)
+                    sums = executor.map(Touch(handle), range(4))
+                    assert sums == [float(dataset.X[row].sum()) for row in range(4)]
+                del dataset
+                print(json.dumps(
+                    {"bound": shm._MAX_ATTACHED, "probes": executor.map(probe, range(6))}
+                ))
+                executor.close()
+
+
+            if __name__ == "__main__":
+                main()
+            """
+        ))
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=source_root),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        bound = report["bound"]
+        for _, attached, mapped in report["probes"]:
+            assert attached <= bound
+            if mapped is not None:  # two segments (X and y) per dataset
+                assert mapped <= 2 * bound
+        assert "Exception ignored" not in result.stderr
+        assert "resource_tracker" not in result.stderr
+        assert "BufferError" not in result.stderr
 
 
 class TestWorkItemScope:

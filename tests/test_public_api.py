@@ -1,5 +1,10 @@
 """Tests for the top-level public API and an end-to-end workflow."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -27,6 +32,33 @@ class TestPublicAPI:
 
     def test_task_registry_exposed(self):
         assert "entailment" in list_tasks()
+
+    def test_cli_and_registry_start_without_scipy(self):
+        # Every CLI call, worker and pool child pays for what `import
+        # repro` loads; scipy is imported only where it is called.
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro.__main__
+            from repro.api import get_study, list_studies, smoke_suite
+
+            for name in list_studies():
+                get_study(name)
+            smoke_suite().validate()
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """
+        )
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=source_root),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestEndToEndWorkflow:

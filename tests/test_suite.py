@@ -17,6 +17,7 @@ Covers the workflow-as-data contract end to end:
 """
 
 import json
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from repro.api import (
     list_studies,
     smoke_suite,
 )
+from repro.api.session import SuiteHandle
 from repro.engine.cache import FileStore
 
 ALL_STUDIES = list_studies()
@@ -452,6 +454,20 @@ class TestInProcessScheduling:
             "fig2-binomial",
             "figC1-sample-size",
         ]
+
+    def test_members_finished_together_stream_in_schedule_order(self, tmp_path):
+        # A consumer that falls behind sees several members finished at
+        # once; they must still stream dependencies first.
+        suite = _make_suite(tmp_path / "store").replace(
+            depends_on={"fig1-variance": ["figC1-sample-size"]}
+        )
+        futures = {}
+        for name in suite.names:
+            futures[name] = Future()
+            futures[name].set_result(name)
+        streamed = list(SuiteHandle(suite, futures))
+        assert [name for name, _ in streamed] == suite.schedule_order()
+        assert all(name == result for name, result in streamed)
 
     def test_bitwise_identical_regardless_of_scheduling(self, tmp_path):
         plain = _make_suite(tmp_path / "a")
