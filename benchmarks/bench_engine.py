@@ -27,7 +27,9 @@ every measurement from disk (zero misses).  The timings land in the
 committed ``benchmarks/BENCH_engine.json`` record: every phase merges its
 numbers into that file **before** asserting anything, so the trajectory
 is never empty — a failing speedup claim still leaves the measured
-numbers behind for the next reader.  Per-backend dispatch overhead (the
+numbers behind for the next reader.  The record's ``host`` block names the
+machine the numbers come from (CPU model, CPUs online and in the affinity
+mask, Python, numpy and its BLAS, load average).  Per-backend dispatch overhead (the
 wall-clock cost of pushing one no-op item through each executor backend;
 for the process backend both a first map, which forks the executor's
 pool, and a second map on that warm pool) rides along so batching wins
@@ -52,6 +54,7 @@ distributed path exercised and its overhead visible.
 from __future__ import annotations
 
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -83,6 +86,35 @@ BENCH_PATH = os.path.join(
 )
 
 
+def host_record() -> dict:
+    """The host the numbers were measured on: CPUs (online and in this
+    process's affinity mask), CPU model, Python, numpy and its BLAS, and
+    the 1-minute load average when the record was written."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict mode
+        blas_name = "unknown"
+    cpu_model = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "affinity": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu_model,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "loadavg_1m": os.getloadavg()[0],
+    }
+
+
 def record_bench(phase: str, payload: dict) -> None:
     """Merge one phase's numbers into ``BENCH_engine.json`` atomically."""
     record = {}
@@ -95,6 +127,7 @@ def record_bench(phase: str, payload: dict) -> None:
     record["schema"] = 1
     record["scale"] = os.environ.get("REPRO_BENCH_SCALE", "quick")
     record["cpu_count"] = os.cpu_count()
+    record["host"] = host_record()
     record[phase] = payload
     tmp = BENCH_PATH + ".tmp"
     with open(tmp, "w") as handle:

@@ -24,9 +24,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.data.dataset import Dataset
 from repro.data.resampling import BootstrapResampler
-from repro.hpo.base import HPOptimizer, HPOResult
+from repro.hpo.base import BatchObjective, HPOptimizer, HPOResult
 from repro.hpo.random_search import RandomSearch
-from repro.pipelines.base import Pipeline, fit_and_score, fit_and_score_many
+from repro.pipelines.base import Pipeline, fit_and_score_many
 from repro.utils.rng import SeedBundle
 from repro.utils.validation import check_positive_int
 
@@ -123,18 +123,32 @@ class BenchmarkProcess:
         own randomness comes from the ``hopt`` stream (the :math:`\\xi_H`
         part).  The objective minimized is ``1 - validation score``, i.e.
         the validation error / regret tracked in Figure F.2.
+
+        Every proposal batch (see :mod:`repro.hpo.base`) is fitted in one
+        :func:`~repro.pipelines.base.fit_and_score_many` call with one
+        configuration per trial: the trials share the training split and
+        the seed bundle, so they stack into one kernel pass, each trial's
+        value bitwise what a fit of its configuration alone gives.  The
+        stack holds a copy of the training split per trial, so memory
+        grows with the number of trials proposed together.
         """
         budget = self.hpo_budget if budget is None else check_positive_int(budget, "budget")
         train, valid, _ = self.split(seeds)
 
-        def objective(config: Mapping[str, Any]) -> float:
-            outcome = fit_and_score(
-                self.pipeline, train, valid, config, seeds, valid=valid
+        def objective(configs: List[Dict[str, float]]) -> List[float]:
+            n_trials = len(configs)
+            outcomes = fit_and_score_many(
+                self.pipeline,
+                [train] * n_trials,
+                [valid] * n_trials,
+                configs,
+                [seeds] * n_trials,
+                valids=[valid] * n_trials,
             )
-            return 1.0 - float(outcome.valid_score)
+            return [1.0 - float(outcome.valid_score) for outcome in outcomes]
 
         return self.hpo_algorithm.optimize(
-            objective,
+            BatchObjective(objective),
             self.pipeline.search_space(),
             budget=budget,
             random_state=seeds.rng_for("hopt"),

@@ -83,3 +83,16 @@ class BayesianOptimization(HPOptimizer):
         scores = expected_improvement(mean, std, best_value=float(y.min()), xi=self.xi)
         best = candidates[int(np.argmax(scores))]
         return space.from_unit(best)
+
+    def propose_batch(
+        self,
+        space: SearchSpace,
+        history: List[Trial],
+        rng: np.random.Generator,
+        budget: int,
+    ) -> List[Dict[str, float]]:
+        """The remaining initial random draws at once, then one at a time."""
+        initial = min(self.n_initial_points, budget) - len(history)
+        if initial > 0:
+            return [space.sample(rng) for _ in range(initial)]
+        return [self.propose(space, history, rng, budget)]

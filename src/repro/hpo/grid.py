@@ -56,9 +56,25 @@ class GridSearch(HPOptimizer):
         rng: np.random.Generator,
         budget: int,
     ) -> Dict[str, float]:
+        return self._point(space, budget, len(history))
+
+    def propose_batch(
+        self,
+        space: SearchSpace,
+        history: List[Trial],
+        rng: np.random.Generator,
+        budget: int,
+    ) -> List[Dict[str, float]]:
+        """The whole remaining budget, in grid order."""
+        return [
+            self._point(space, budget, index) for index in range(len(history), budget)
+        ]
+
+    def _point(self, space: SearchSpace, budget: int, index: int) -> Dict[str, float]:
+        """The configuration of trial ``index``."""
         if self._grid is None:
             self._grid = space.grid(self._points(space, budget))
-        return dict(self._grid[len(history) % len(self._grid)])
+        return dict(self._grid[index % len(self._grid)])
 
 
 class NoisyGridSearch(GridSearch):

@@ -69,3 +69,13 @@ class RandomSearch(HPOptimizer):
         budget: int,
     ) -> Dict[str, float]:
         return space.sample(rng)
+
+    def propose_batch(
+        self,
+        space: SearchSpace,
+        history: List[Trial],
+        rng: np.random.Generator,
+        budget: int,
+    ) -> List[Dict[str, float]]:
+        """The whole remaining budget: no draw depends on a trial value."""
+        return [space.sample(rng) for _ in range(budget - len(history))]

@@ -11,13 +11,39 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.data.dataset import Dataset
 from repro.utils.rng import SeedBundle
 from repro.utils.validation import check_aligned
 
-__all__ = ["Pipeline", "FitOutcome", "fit_and_score", "fit_and_score_many"]
+__all__ = [
+    "Pipeline",
+    "FitOutcome",
+    "fit_and_score",
+    "fit_and_score_many",
+    "hparams_per_item",
+]
+
+#: Hyperparameters of a batch: one mapping (or ``None``) shared by every
+#: item, or a sequence of one mapping per item.
+BatchHparams = Union[
+    Optional[Mapping[str, Any]], Sequence[Optional[Mapping[str, Any]]]
+]
+
+
+def hparams_per_item(hparams: BatchHparams, n_items: int) -> List[Any]:
+    """One hyperparameter mapping per item; a single mapping (or ``None``)
+    is shared by all ``n_items``."""
+    if hparams is None or isinstance(hparams, Mapping):
+        return [hparams] * n_items
+    hparams = list(hparams)
+    if len(hparams) != n_items:
+        raise ValueError(
+            f"expected one hyperparameter mapping per item ({n_items}), "
+            f"got {len(hparams)}"
+        )
+    return hparams
 
 
 @dataclass
@@ -90,27 +116,32 @@ class Pipeline(ABC):
     def fit_many(
         self,
         trains: Sequence[Dataset],
-        hparams: Mapping[str, Any],
+        hparams: BatchHparams,
         seeds_list: Sequence[SeedBundle],
         valids: Optional[Sequence[Optional[Dataset]]] = None,
     ) -> List[FitOutcome]:
-        """Fit one model per ``(train, seeds)`` pair under shared hyperparameters.
+        """Fit one model per ``(train, seeds)`` pair.
 
-        The batching contract: every item shares the pipeline and the
-        hyperparameters while the seed bundles (and hence the resampled
-        training sets) differ per item; ``trains``, ``seeds_list`` and
-        ``valids`` must have one entry per item.  The default
-        implementation is a sequential loop over :meth:`fit` — trivially
-        bitwise-identical to per-item execution.  The linear and MLP
-        families override it with the stacked multi-seed kernel, which is
-        also how they :meth:`fit` one model: as a batch of one.
+        The batching contract: every item shares the pipeline, while the
+        seed bundle, the training set and the hyperparameters may differ
+        per item.  ``hparams`` is one mapping shared by every item (the
+        repeated measurements of one configuration) or a sequence of one
+        mapping per item (the trials of one HOpt run); ``trains``,
+        ``seeds_list`` and ``valids`` must have one entry per item.  Every
+        item's outcome equals that of :meth:`fit` on the item alone.  The
+        default implementation is a sequential loop over :meth:`fit` —
+        trivially bitwise-identical to per-item execution.  The linear and
+        MLP families override it with the stacked multi-seed kernel, which
+        is also how they :meth:`fit` one model: as a batch of one.
         """
         if valids is None:
             valids = [None] * len(trains)
         check_aligned(trains=trains, seeds_list=seeds_list, valids=valids)
         return [
-            self.fit(train, hparams, seeds, valid=valid)
-            for train, seeds, valid in zip(trains, seeds_list, valids)
+            self.fit(train, item_hparams, seeds, valid=valid)
+            for train, item_hparams, seeds, valid in zip(
+                trains, hparams_per_item(hparams, len(trains)), seeds_list, valids
+            )
         ]
 
     def with_noise_layers(self, layers) -> "Pipeline":
@@ -164,22 +195,27 @@ def fit_and_score_many(
     pipeline: Pipeline,
     trains: Sequence[Dataset],
     tests: Sequence[Dataset],
-    hparams: Optional[Mapping[str, Any]],
+    hparams: BatchHparams,
     seeds_list: Sequence[SeedBundle],
     valids: Optional[Sequence[Optional[Dataset]]] = None,
 ) -> List[FitOutcome]:
-    """Batched :func:`fit_and_score`: B fits under one shared configuration.
+    """Batched :func:`fit_and_score`: B fits in one :meth:`Pipeline.fit_many`.
 
-    Fits go through :meth:`Pipeline.fit_many` (vectorized where the
-    pipeline supports it), evaluation stays per item on each item's own
-    resample — test sets vary in size across bootstrap seeds, so scoring
-    cannot be stacked.  ``trains``, ``tests``, ``seeds_list`` and
-    ``valids`` must have one entry per item.
+    ``hparams`` is one configuration shared by every item or one per item
+    (see :meth:`Pipeline.fit_many`).  Fits go through
+    :meth:`Pipeline.fit_many` (vectorized where the pipeline supports
+    it), evaluation stays per item on each item's own resample — test
+    sets vary in size across bootstrap seeds, so scoring cannot be
+    stacked.  ``trains``, ``tests``, ``seeds_list`` and ``valids`` must
+    have one entry per item.
     """
     if valids is None:
         valids = [None] * len(trains)
     check_aligned(trains=trains, tests=tests, seeds_list=seeds_list, valids=valids)
-    resolved = pipeline.resolve_hparams(hparams)
+    resolved = [
+        pipeline.resolve_hparams(item_hparams)
+        for item_hparams in hparams_per_item(hparams, len(trains))
+    ]
     outcomes = pipeline.fit_many(trains, resolved, seeds_list, valids=valids)
     for outcome, valid, test in zip(outcomes, valids, tests):
         if valid is not None and outcome.valid_score is None:

@@ -17,8 +17,6 @@ from repro.data.dataset import Dataset
 from repro.pipelines.metrics import METRICS
 from repro.pipelines.mlp import _NetworkPipeline
 from repro.pipelines.nn.network import MLPNetwork
-from repro.pipelines.nn.optimizers import SGD
-from repro.pipelines.nn.schedules import ExponentialDecaySchedule
 from repro.pipelines.training import TrainingConfig
 from repro.utils.rng import SeedBundle
 
@@ -80,21 +78,10 @@ class _BaseLinearPipeline(_NetworkPipeline):
             init_rng=seeds.rng_for("init"),
         )
 
-    def _build_optimizer(self, hparams: Mapping[str, Any]) -> SGD:
-        return SGD(
-            learning_rate=float(hparams["learning_rate"]),
-            momentum=float(hparams["momentum"]),
-            weight_decay=float(hparams["weight_decay"]),
-        )
-
-    def _training_config(self, hparams: Mapping[str, Any]) -> TrainingConfig:
-        schedule = ExponentialDecaySchedule(
-            learning_rate=float(hparams["learning_rate"]), gamma=float(hparams["gamma"])
-        )
+    def _training_config(self) -> TrainingConfig:
         return TrainingConfig(
             n_epochs=self.n_epochs,
             batch_size=self.batch_size,
-            schedule=schedule,
             numerical_noise_scale=self.numerical_noise_scale,
         )
 

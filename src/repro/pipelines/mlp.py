@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.pipelines.base import FitOutcome, Pipeline
+from repro.pipelines.base import BatchHparams, FitOutcome, Pipeline, hparams_per_item
 from repro.pipelines.layers import NOISE_LAYERS, combo_label, normalize_layers
 from repro.pipelines.metrics import METRICS
 from repro.pipelines.nn.batched import BatchedNetwork
@@ -77,21 +77,41 @@ def _clip_hparams(hparams: Mapping[str, Any]) -> Dict[str, Any]:
     return clipped
 
 
+def _flat_values(
+    batched: BatchedNetwork, hparams: Sequence[Mapping[str, Any]], *names: str
+) -> Dict[str, np.ndarray]:
+    """Each named hyperparameter, one value per item, laid out like
+    ``batched.flat``."""
+    return {
+        name: batched.per_item([float(item[name]) for item in hparams])
+        for name in names
+    }
+
+
 class _NetworkPipeline(Pipeline):
     """Fit and evaluation shared by the pipelines built on :class:`MLPNetwork`.
 
     A fit is a stacked batch of one: :meth:`fit` is ``fit_many([train])[0]``.
-    :meth:`fit_many` groups its items by training-set shape and output
-    width — bootstrap resamples usually share one shape, but a degenerate
-    resample (an empty out-of-bag set shrinks the in-bag pool) or one that
-    misses the top class (narrowing the classifier's output) does not — and
-    trains each group in one :func:`train_network_many` pass.  Per-item
-    networks are initialized from each seed's own ``init`` stream and a
-    fresh optimizer steps each group, so every item's outcome is
-    bitwise-identical whatever it is batched with.
+    :meth:`fit_many` groups its items and trains each group in one
+    :func:`train_network_many` pass.  A group shares:
 
-    Subclasses provide ``_output_size``, ``_build_network``,
-    ``_build_optimizer`` and ``_training_config``.
+    * the training-set shape and the output width — bootstrap resamples
+      usually share one shape, but a degenerate resample (an empty
+      out-of-bag set shrinks the in-bag pool) or one that misses the top
+      class (narrowing the classifier's output) does not;
+    * the dropout rate;
+    * whether weight decay is on: the optimizer skips the decay term when
+      it is off, which adding ``0.0 * p`` would not reproduce bitwise.
+
+    Within a group each item keeps its own learning rate, weight decay,
+    momentum, learning-rate schedule and initial weights (drawn from its
+    seed's own ``init`` stream), and a fresh optimizer steps each group,
+    so every item's outcome is bitwise-identical whatever it is batched
+    with.
+
+    Subclasses provide ``_output_size``, ``_build_network`` and
+    ``_training_config``, and may override ``_build_optimizer`` (SGD with
+    momentum by default).
     """
 
     def fit(
@@ -106,48 +126,70 @@ class _NetworkPipeline(Pipeline):
     def fit_many(
         self,
         trains: Sequence[Dataset],
-        hparams: Mapping[str, Any],
+        hparams: BatchHparams,
         seeds_list: Sequence[SeedBundle],
         valids: Optional[Sequence[Optional[Dataset]]] = None,
     ) -> List[FitOutcome]:
         trains, seeds_list = list(trains), list(seeds_list)
         valids = [None] * len(trains) if valids is None else list(valids)
         check_aligned(trains=trains, seeds_list=seeds_list, valids=valids)
-        hparams = _clip_hparams(self.resolve_hparams(hparams))
+        items = [
+            _clip_hparams(self.resolve_hparams(item))
+            for item in hparams_per_item(hparams, len(trains))
+        ]
+        networks = [
+            self._build_network(train, item, seeds)
+            for train, item, seeds in zip(trains, items, seeds_list)
+        ]
         groups: Dict[Tuple, List[int]] = {}
-        for index, train in enumerate(trains):
-            key = (train.X.shape, self._output_size(train))
+        for index, (train, network) in enumerate(zip(trains, networks)):
+            key = (
+                train.X.shape,
+                network.layer_sizes[-1],
+                network.dropout_rate,
+                items[index]["weight_decay"] > 0,
+            )
             groups.setdefault(key, []).append(index)
         outcomes: List[FitOutcome] = [None] * len(trains)  # type: ignore[list-item]
         for members in groups.values():
-            group_trains = [trains[index] for index in members]
-            group_seeds = [seeds_list[index] for index in members]
-            networks = [
-                self._build_network(train, hparams, seeds)
-                for train, seeds in zip(group_trains, group_seeds)
-            ]
-            batched = BatchedNetwork(networks)
+            group = [items[index] for index in members]
+            batched = BatchedNetwork([networks[index] for index in members])
             histories = train_network_many(
                 batched,
-                group_trains,
-                self._build_optimizer(hparams),
-                self._training_config(hparams),
-                group_seeds,
+                [trains[index] for index in members],
+                self._build_optimizer(group, batched),
+                self._training_config(),
+                [seeds_list[index] for index in members],
+                [self._schedule(item) for item in group],
             )
             batched.unstack()
-            for index, network, history in zip(members, networks, histories):
-                valid = valids[index]
+            for index, history in zip(members, histories):
+                network, valid = networks[index], valids[index]
                 outcomes[index] = FitOutcome(
                     model=network,
                     train_score=self.evaluate(network, trains[index]),
                     valid_score=(
                         self.evaluate(network, valid) if valid is not None else None
                     ),
-                    hparams=dict(hparams),
+                    hparams=dict(items[index]),
                     seeds=seeds_list[index],
                     history=history.as_dict(),
                 )
         return outcomes
+
+    def _build_optimizer(
+        self, hparams: Sequence[Mapping[str, Any]], batched: BatchedNetwork
+    ):
+        """One group's optimizer, each item's values laid out like
+        ``batched.flat``."""
+        names = ("learning_rate", "momentum", "weight_decay")
+        return SGD(**_flat_values(batched, hparams, *names))
+
+    def _schedule(self, hparams: Mapping[str, Any]) -> ExponentialDecaySchedule:
+        """One item's learning-rate schedule."""
+        return ExponentialDecaySchedule(
+            learning_rate=float(hparams["learning_rate"]), gamma=float(hparams["gamma"])
+        )
 
     def evaluate(self, model: MLPNetwork, dataset: Dataset) -> float:
         metric = METRICS[self.metric_name]
@@ -261,26 +303,18 @@ class _BaseMLPPipeline(_NetworkPipeline):
             init_rng=init_rng,
         )
 
-    def _build_optimizer(self, hparams: Mapping[str, Any]):
+    def _build_optimizer(
+        self, hparams: Sequence[Mapping[str, Any]], batched: BatchedNetwork
+    ):
         if self.optimizer_name == "adam":
-            return Adam(
-                learning_rate=float(hparams["learning_rate"]),
-                weight_decay=float(hparams["weight_decay"]),
-            )
-        return SGD(
-            learning_rate=float(hparams["learning_rate"]),
-            momentum=float(hparams["momentum"]),
-            weight_decay=float(hparams["weight_decay"]),
-        )
+            names = ("learning_rate", "weight_decay")
+            return Adam(**_flat_values(batched, hparams, *names))
+        return super()._build_optimizer(hparams, batched)
 
-    def _training_config(self, hparams: Mapping[str, Any]) -> TrainingConfig:
-        schedule = ExponentialDecaySchedule(
-            learning_rate=float(hparams["learning_rate"]), gamma=float(hparams["gamma"])
-        )
+    def _training_config(self) -> TrainingConfig:
         return TrainingConfig(
             n_epochs=self.n_epochs,
             batch_size=self.batch_size,
-            schedule=schedule,
             augmentations=self.augmentations if self._layer_on("augment") else (),
             numerical_noise_scale=self.numerical_noise_scale,
             shuffle=self._layer_on("order"),

@@ -14,27 +14,44 @@ network trained in a stack of B gets bitwise the same weights as in a
 stack of one:
 
 * ``np.matmul`` on a 3-D stack runs the same BLAS kernel per 2-D slice as
-  the 2-D ``(n, d) @ (d, h)`` product;
+  the 2-D ``(n, d) @ (d, h)`` product — also when the stack is a strided
+  mini-batch slice of an epoch's gathered inputs, whose 2-D slices have
+  the same row layout as a contiguous copy;
 * element-wise ops (activations, optimizer updates, weight decay) are
   trivially per-slice identical — which is also why the optimizer may
-  update every parameter through one flat buffer;
+  update every parameter through one flat buffer, and why per-item
+  hyperparameters (learning rate, weight decay, momentum) may be arrays
+  laid out like :attr:`BatchedNetwork.flat` (:meth:`BatchedNetwork.per_item`):
+  an element-wise op with a per-element scalar is bitwise the scalar op;
+* in-place ops and ``out=`` arguments compute exactly what their
+  allocating forms compute: weight and bias gradients are written into
+  one buffer laid out like ``flat`` (:attr:`BatchedNetwork.flat_grad`), and
+  the softmax and its gradient are computed in place on one fresh array,
+  never on the caller's logits;
 * reductions run over the same contiguous axis per item — the bias
   gradient ``delta.sum(axis=1)`` of a ``(B, n, h)`` stack accumulates rows
   exactly like ``delta.sum(axis=0)`` of one item, and the loss reductions
-  stay over the last (contiguous) axis;
+  stay over the last (contiguous) axis, the mean as ``add.reduce / n``
+  (what ``np.mean`` computes);
+* the label's probability is picked as ``(p * onehot).sum(-1)``, which
+  adds only exact zeros to it, and the gradient subtracts the one-hot
+  labels, which subtracts only exact zeros elsewhere;
 * random draws stay *per item*: initialization, dropout masks and the
   numerical perturbation are drawn from each seed's own generator, in
   the order one item's fit consumes them — only the arithmetic between
-  draws is stacked.
+  draws is stacked.  ``Generator.random(out=...)`` fills a buffer with
+  the draws ``Generator.random(shape)`` returns.
 
 ``tests/test_batched.py`` checks the kernels slice by slice against
 :meth:`MLPNetwork.loss_and_gradients` and the :mod:`repro.pipelines.nn.losses`
-functions, and pins whole-fit outputs to recorded values.
+functions, and pins whole-fit outputs to recorded values;
+``tests/test_stacked_fits.py`` checks per-item hyperparameters, the
+gradient buffer, untouched inputs and strided slices.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,10 +62,16 @@ __all__ = [
     "batched_softmax",
     "batched_cross_entropy_loss",
     "batched_mse_loss",
+    "one_hot",
 ]
 
 #: Numerical floor to keep logarithms finite (same as ``nn.losses``).
 _EPS = 1e-12
+
+
+def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Float one-hot encoding of integer ``labels`` along a new last axis."""
+    return np.eye(n_classes)[np.asarray(labels, dtype=int)]
 
 
 def batched_softmax(logits: np.ndarray) -> np.ndarray:
@@ -63,23 +86,29 @@ def batched_cross_entropy_loss(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Softmax cross-entropy per item of a ``(B, n, C)`` logits stack.
 
-    Returns the ``(B,)`` per-item mean losses and the ``(B, n, C)``
-    gradient, each slice bitwise-equal to
+    ``labels`` are integer classes ``(B, n)`` or their :func:`one_hot`
+    encoding ``(B, n, C)``; neither argument is modified.  Returns the
+    ``(B,)`` per-item mean losses and the ``(B, n, C)`` gradient, each
+    slice bitwise-equal to
     :func:`repro.pipelines.nn.losses.cross_entropy_loss` on that item.
     """
-    labels = np.asarray(labels, dtype=int)
-    probabilities = batched_softmax(logits)
-    n_items, n = labels.shape
-    # A 2-index gather on the (B*n, C) view costs less than a 3-array index.
-    rows = np.arange(n_items * n)
-    flat_labels = labels.reshape(-1)
-    n_classes = logits.shape[-1]
-    picked = probabilities.reshape(-1, n_classes)[rows, flat_labels]
-    losses = -np.mean(np.log(picked.reshape(n_items, n) + _EPS), axis=1)
-    gradient = probabilities.copy()
-    gradient.reshape(-1, n_classes)[rows, flat_labels] -= 1.0
-    gradient /= n
-    return losses, gradient
+    labels = np.asarray(labels)
+    if labels.ndim != logits.ndim:
+        labels = one_hot(labels, logits.shape[-1])
+    n = logits.shape[1]
+    # Softmax, then its gradient, in place on one fresh array.
+    probabilities = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(probabilities, out=probabilities)
+    probabilities /= probabilities.sum(axis=-1, keepdims=True)
+    picked = (probabilities * labels).sum(axis=-1)
+    picked += _EPS
+    np.log(picked, out=picked)
+    losses = np.add.reduce(picked, axis=1)
+    losses /= n
+    np.negative(losses, out=losses)
+    probabilities -= labels
+    probabilities /= n
+    return losses, probabilities
 
 
 def batched_mse_loss(
@@ -95,6 +124,16 @@ def batched_mse_loss(
     return losses, gradient
 
 
+def _views(buffer: np.ndarray, shapes: Sequence[tuple]) -> List[np.ndarray]:
+    """Consecutive views of ``buffer`` with the given shapes."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(buffer[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 class BatchedNetwork:
     """B identically-shaped :class:`MLPNetwork`\\ s trained in lockstep.
 
@@ -103,11 +142,13 @@ class BatchedNetwork:
     so initialization is bitwise-identical to each network's own by
     construction.  The stacked parameters returned by :meth:`parameters`
     are shaped ``[(B, in, out), (B, out), ...]`` and are views into the
-    one contiguous buffer :attr:`flat`, laid out in that order.  An
-    element-wise optimizer (:class:`~repro.pipelines.nn.optimizers.SGD` /
+    one contiguous buffer :attr:`flat`, laid out in that order.
+    :meth:`loss_and_gradients` writes the gradients into :attr:`flat_grad`,
+    laid out the same way.  An element-wise optimizer
+    (:class:`~repro.pipelines.nn.optimizers.SGD` /
     :class:`~repro.pipelines.nn.optimizers.Adam`) therefore steps every
-    seed's every tensor at once on ``[flat]``, given the gradients
-    concatenated in the same order.
+    seed's every tensor at once on ``[flat]`` and ``[flat_grad]``, with
+    per-item hyperparameters from :meth:`per_item`.
     """
 
     def __init__(self, networks: Sequence[MLPNetwork]) -> None:
@@ -133,14 +174,21 @@ class BatchedNetwork:
         stacks = [
             np.stack(params) for params in zip(*(net.parameters() for net in networks))
         ]
+        shapes = [stack.shape for stack in stacks]
         self.flat = np.concatenate(stacks, axis=None)
-        bounds = np.cumsum([stack.size for stack in stacks])[:-1]
-        views = [
-            part.reshape(stack.shape)
-            for part, stack in zip(np.split(self.flat, bounds), stacks)
-        ]
+        self.flat_grad = np.empty_like(self.flat)
+        views = _views(self.flat, shapes)
         self.weights = views[0::2]
         self.biases = views[1::2]
+        self._gradients = _views(self.flat_grad, shapes)
+        self._bias_rows = [b[:, None, :] for b in self.biases]
+        self._weights_t = [w.transpose(0, 2, 1) for w in self.weights]
+        #: Item index of every element of ``flat``.
+        self._item_of = np.concatenate(
+            [np.repeat(np.arange(self.n_items), stack[0].size) for stack in stacks]
+        )
+        #: Dropout draw buffers, by ``(layer, shape)``.
+        self._draws: Dict[tuple, np.ndarray] = {}
 
     @property
     def n_layers(self) -> int:
@@ -154,6 +202,32 @@ class BatchedNetwork:
             params.extend([w, b])
         return params
 
+    def per_item(self, values: Sequence[float]) -> np.ndarray:
+        """One scalar per item, laid out like :attr:`flat`.
+
+        Element ``j`` holds the value of the item that owns ``flat[j]``, so
+        an optimizer hyperparameter given this way acts on each item as
+        its own scalar would.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.n_items,):
+            raise ValueError(
+                f"expected {self.n_items} per-item values, got shape {values.shape}"
+            )
+        return values[self._item_of]
+
+    def _dropout_mask(
+        self, layer: int, shape: tuple, rngs: Sequence[np.random.Generator]
+    ) -> np.ndarray:
+        """Inverted-dropout mask stack, each item's draws from its own rng."""
+        draws = self._draws.get((layer, shape))
+        if draws is None:
+            draws = self._draws[(layer, shape)] = np.empty(shape)
+        for rng, item in zip(rngs, draws):
+            rng.random(out=item)
+        keep = np.greater_equal(draws, self.dropout_rate)
+        return np.divide(keep, 1.0 - self.dropout_rate)
+
     def forward(
         self,
         X: np.ndarray,
@@ -165,29 +239,24 @@ class BatchedNetwork:
         Dropout masks are drawn *per item* from each seed's generator in
         layer order — the exact draw sequence of B
         :meth:`MLPNetwork.forward` passes — and only the mask arithmetic is
-        stacked.
+        stacked.  ``masks`` holds one mask per hidden layer when dropout
+        is active and is empty otherwise.
         """
+        dropout = dropout_rngs is not None and self.dropout_rate > 0
         activations = [X]
         masks: list[np.ndarray] = []
         hidden = X
         for layer in range(self.n_layers - 1):
-            pre = hidden @ self.weights[layer] + self.biases[layer][:, None, :]
+            pre = hidden @ self.weights[layer]
+            pre += self._bias_rows[layer]
             hidden = self.activation.forward(pre)
-            if dropout_rngs is not None and self.dropout_rate > 0:
-                item_shape = hidden.shape[1:]
-                mask = np.stack(
-                    [
-                        (rng.random(item_shape) >= self.dropout_rate).astype(float)
-                        / (1.0 - self.dropout_rate)
-                        for rng in dropout_rngs
-                    ]
-                )
-                hidden = hidden * mask
-            else:
-                mask = np.ones_like(hidden)
-            masks.append(mask)
+            if dropout:
+                mask = self._dropout_mask(layer, hidden.shape, dropout_rngs)
+                hidden *= mask
+                masks.append(mask)
             activations.append(hidden)
-        output = hidden @ self.weights[-1] + self.biases[-1][:, None, :]
+        output = hidden @ self.weights[-1]
+        output += self._bias_rows[-1]
         return output, activations, masks
 
     def loss_and_gradients(
@@ -199,29 +268,30 @@ class BatchedNetwork:
     ) -> tuple[np.ndarray, List[np.ndarray]]:
         """Per-item losses and stacked gradients for a mini-batch stack.
 
-        Returns the ``(B,)`` loss vector and gradients ordered like
-        :meth:`parameters`, each slice bitwise-equal to
-        :meth:`MLPNetwork.loss_and_gradients` on that item.
+        ``y`` holds integer labels or their :func:`one_hot` encoding for a
+        classifier, targets for a regressor.  Returns the ``(B,)`` loss
+        vector and gradients ordered like :meth:`parameters`, each slice
+        bitwise-equal to :meth:`MLPNetwork.loss_and_gradients` on that
+        item.  The gradients are views into :attr:`flat_grad`, which the
+        next call overwrites.
         """
         output, activations, masks = self.forward(X, dropout_rngs=dropout_rngs)
         if self.task_type == "classification":
-            losses, grad_output = batched_cross_entropy_loss(output, y)
+            losses, delta = batched_cross_entropy_loss(output, y)
         else:
-            losses, grad_output = batched_mse_loss(output, y)
-        weight_grads: List[np.ndarray] = [np.empty(0)] * self.n_layers
-        bias_grads: List[np.ndarray] = [np.empty(0)] * self.n_layers
-        delta = grad_output
+            losses, delta = batched_mse_loss(output, y)
+        weight_grads, bias_grads = self._gradients[0::2], self._gradients[1::2]
         for layer in range(self.n_layers - 1, -1, -1):
-            weight_grads[layer] = activations[layer].transpose(0, 2, 1) @ delta
-            bias_grads[layer] = delta.sum(axis=1)
+            np.matmul(
+                activations[layer].transpose(0, 2, 1), delta, out=weight_grads[layer]
+            )
+            np.add.reduce(delta, axis=1, out=bias_grads[layer])
             if layer > 0:
-                delta = delta @ self.weights[layer].transpose(0, 2, 1)
-                delta = delta * masks[layer - 1]
-                delta = delta * self.activation.derivative(activations[layer])
-        gradients: List[np.ndarray] = []
-        for wg, bg in zip(weight_grads, bias_grads):
-            gradients.extend([wg, bg])
-        return losses, gradients
+                delta = delta @ self._weights_t[layer]
+                if masks:
+                    delta *= masks[layer - 1]
+                delta *= self.activation.derivative(activations[layer])
+        return losses, list(self._gradients)
 
     def perturb_parameters(
         self, scale: float, rngs: Sequence[np.random.Generator]

@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.pipelines.nn.batched import BatchedNetwork
+from repro.pipelines.nn.batched import BatchedNetwork, one_hot
 from repro.pipelines.nn.optimizers import Optimizer
 from repro.utils.rng import SeedBundle
 from repro.utils.validation import check_positive_int
@@ -81,6 +81,7 @@ def train_network_many(
     optimizer: Optimizer,
     config: TrainingConfig,
     seeds_list: Sequence[SeedBundle],
+    schedules: Optional[Sequence[Callable[[int], float]]] = None,
 ) -> List[TrainingHistory]:
     """Train B stacked networks in lockstep, one per ``(train, seeds)`` pair.
 
@@ -90,13 +91,23 @@ def train_network_many(
     seed bundle, in the order a fit of that item alone consumes it, while
     the arithmetic between draws (forward, backward, optimizer step) runs
     once on the ``(B, ...)`` stacks.  Each history is therefore
-    bitwise-equal to the one the item gets in a batch of one.  All items
-    share the optimizer hyperparameters and the training configuration,
-    and every training set must have the same shape —
-    :meth:`repro.pipelines.mlp._NetworkPipeline.fit_many` groups items by
-    shape before calling this.
+    bitwise-equal to the one the item gets in a batch of one.
 
-    The optimizer steps once per mini-batch on ``[batched.flat]``.
+    What may differ per item: the seed bundle, the training set's values
+    (every set must have the same shape —
+    :meth:`repro.pipelines.mlp._NetworkPipeline.fit_many` groups items by
+    shape before calling this), the initial weights, the learning-rate
+    schedule (``schedules``, one per item, positional; default: every
+    item follows ``config.schedule``) and the optimizer's learning rate,
+    weight decay and momentum, given as :meth:`BatchedNetwork.per_item`
+    arrays.  Everything else in ``config`` and the optimizer is shared.
+    Each item's history records the rate its own schedule set; without
+    any schedule, the optimizer's ``learning_rate``.
+
+    Each epoch gathers its shuffled inputs and targets once (classifier
+    labels one-hot encoded once per call) and slices its mini-batches
+    from them.  The optimizer steps once per mini-batch on
+    ``[batched.flat]`` with the gradients in ``[batched.flat_grad]``.
     """
     check_positive_int(config.n_epochs, "n_epochs")
     check_positive_int(config.batch_size, "batch_size")
@@ -108,6 +119,10 @@ def train_network_many(
     if any(t.n_samples != n_samples for t in trains):
         raise ValueError("all training sets must have the same size")
     n_items = batched.n_items
+    if schedules is None and config.schedule is not None:
+        schedules = [config.schedule] * n_items
+    if schedules is not None and len(schedules) != n_items:
+        raise ValueError("schedules must have one entry per item")
     order_rngs = [seeds.rng_for("order") for seeds in seeds_list]
     dropout_rngs = (
         [seeds.rng_for("dropout") for seeds in seeds_list]
@@ -121,15 +136,18 @@ def train_network_many(
     )
     X_all = np.stack([train.X for train in trains])
     y_all = np.stack([train.y for train in trains])
+    if batched.task_type == "classification":
+        y_all = one_hot(y_all, batched.layer_sizes[-1])
     items = np.arange(n_items)[:, None]
     histories = [TrainingHistory() for _ in range(n_items)]
     for epoch in range(config.n_epochs):
-        lr = (
-            config.schedule(epoch)
-            if config.schedule is not None
-            else optimizer.learning_rate
-        )
-        X_epoch = X_all
+        if schedules is None:
+            rates = [optimizer.learning_rate] * n_items
+            lr = None
+        else:
+            rates = [schedule(epoch) for schedule in schedules]
+            lr = batched.per_item(rates)
+        X_epoch, y_epoch = X_all, y_all
         if augment_rngs is not None:
             X_items = []
             for train, augment_rng in zip(trains, augment_rngs):
@@ -140,19 +158,20 @@ def train_network_many(
             X_epoch = np.stack(X_items)
         if config.shuffle:
             orders = np.stack([rng.permutation(n_samples) for rng in order_rngs])
-        else:
-            orders = np.broadcast_to(np.arange(n_samples), (n_items, n_samples))
+            X_epoch, y_epoch = X_epoch[items, orders], y_epoch[items, orders]
         epoch_losses = np.zeros(n_items)
         for start in range(0, n_samples, config.batch_size):
-            batch = orders[:, start : start + config.batch_size]
-            losses, gradients = batched.loss_and_gradients(
-                X_epoch[items, batch], y_all[items, batch], dropout_rngs=dropout_rngs
+            stop = min(start + config.batch_size, n_samples)
+            losses, _ = batched.loss_and_gradients(
+                X_epoch[:, start:stop],
+                y_epoch[:, start:stop],
+                dropout_rngs=dropout_rngs,
             )
-            optimizer.step([batched.flat], [np.concatenate(gradients, axis=None)], lr)
-            epoch_losses += losses * batch.shape[1]
+            optimizer.step([batched.flat], [batched.flat_grad], lr)
+            epoch_losses += losses * (stop - start)
         for index in range(n_items):
             histories[index].losses.append(float(epoch_losses[index] / n_samples))
-            histories[index].learning_rates.append(lr)
+            histories[index].learning_rates.append(rates[index])
     if config.numerical_noise_scale > 0:
         batched.perturb_parameters(
             config.numerical_noise_scale,

@@ -39,6 +39,43 @@ class TestHPOResult:
         with pytest.raises(ValueError):
             HPOResult().best_trial
 
+    def test_nan_trial_never_beats_a_number(self):
+        nan = float("nan")
+        result = HPOResult([Trial({"a": 1}, nan, 0), Trial({"a": 2}, 0.1, 1)])
+        assert result.best_trial.index == 1
+        result = HPOResult(
+            [Trial({}, 0.4, 0), Trial({}, nan, 1), Trial({}, 0.2, 2), Trial({}, nan, 3)]
+        )
+        assert result.best_trial.index == 2
+
+    def test_ties_go_to_the_earliest_trial(self):
+        nan = float("nan")
+        assert HPOResult([Trial({}, nan, 0), Trial({}, nan, 1)]).best_trial.index == 0
+        result = HPOResult([Trial({}, 0.3, 0), Trial({}, 0.1, 1), Trial({}, 0.1, 2)])
+        assert result.best_trial.index == 1
+
+    def test_optimization_curve_skips_nan(self):
+        nan = float("nan")
+        result = HPOResult(
+            trials=[Trial({}, v, i) for i, v in enumerate([nan, 3.0, nan, 1.0, nan])]
+        )
+        np.testing.assert_array_equal(
+            result.optimization_curve(), [nan, 3.0, 3.0, 1.0, 1.0]
+        )
+
+    def test_diverged_first_trial_does_not_win_optimize(self):
+        calls = []
+
+        def objective(config):
+            calls.append(config)
+            return float("nan") if len(calls) == 1 else _quadratic(config)
+
+        result = RandomSearch().optimize(
+            objective, _quadratic_space(), budget=5, random_state=0
+        )
+        assert result.best_trial.index != 0
+        assert np.isfinite(result.best_value)
+
 
 class TestRandomSearch:
     def test_runs_budget_trials(self):
