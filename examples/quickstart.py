@@ -21,7 +21,7 @@ pre-drawn before execution, so results are bitwise identical for any
     from repro import MeasurementCache, StudyRunner
     from repro.core.variance import variance_decomposition_study
 
-    cache = MeasurementCache("measurements.pkl")     # optional persistence
+    cache = MeasurementCache(cache_dir=".repro-cache")  # optional persistence
     runner = StudyRunner(process_a, n_jobs=4, cache=cache)
     decomposition = variance_decomposition_study(
         process_a, n_seeds=50, runner=runner, random_state=0

@@ -33,23 +33,18 @@ figure suite — is launchable from a JSON manifest without writing Python::
     python -m repro worker .repro-cache                 # terminals 2..N
     curl -d @manifest.json http://127.0.0.1:8321/v1/suites
 
-``run`` prints :meth:`~repro.api.results.StudyResult.summary` (or, with
-``--json``, the full rows/provenance payload of
-:meth:`~repro.api.results.StudyResult.to_json`).  ``suite`` executes every
-member of a :class:`~repro.api.spec.SuiteSpec` manifest through one shared
-session/cache with per-member progress on stderr; ``--resume`` replays
-members already completed against the same ``cache_dir`` (a changed spec
-invalidates its record), and ``--distributed`` routes execution through
-the durable work queue in the cache dir so ``worker`` processes — on this
-host or any host sharing the directory — claim tasks under heartbeat
-leases and the coordinator assembles the bitwise-identical result.
-``--queue-backend`` picks where task state lives: ``fs`` (rename-claim
-files under ``<cache_dir>/queue/<suite>/``, the default) or ``sqlite``
-(transactional claims in ``<cache_dir>/queue.db``).  ``worker`` serves
-every queue it finds — on either backend — under one cache dir until
-stopped (or, with ``--exit-when-done``, until all queues complete);
-``queue`` prints each queue's live pending/running/done/failed state,
-lease ages and attempt counts.
+``run`` prints :meth:`~repro.api.results.StudyResult.summary`.  ``suite``
+executes every member of a :class:`~repro.api.spec.SuiteSpec` manifest
+through one shared session/cache with per-member progress on stderr;
+``--resume`` replays members already completed against the same
+``cache_dir`` (a changed spec invalidates its record), and
+``--distributed`` routes execution through the durable work queue in the
+cache dir so ``worker`` processes — on this host or any host sharing the
+directory — claim tasks under heartbeat leases and the coordinator
+assembles the bitwise-identical result.  ``worker`` serves every queue it
+finds under one cache dir until stopped (or, with ``--exit-when-done``,
+until all queues complete); ``queue`` prints each queue's live
+pending/running/done/failed state, lease ages and attempt counts.
 ``serve`` runs the long-lived study service (see ``src/repro/serve/``):
 specs POSTed to ``/v1/studies`` run on the session's bounded in-process
 pool, manifests POSTed to ``/v1/suites`` go through the same durable
@@ -63,20 +58,44 @@ writes them under ``<cache_dir>/reports/<suite>/``.
 ``trace`` renders the telemetry span tree persisted under
 ``<cache_dir>/telemetry/`` (every process that ran against the cache
 dir appends its spans there, stitched into one trace per suite) plus
-per-phase timing aggregates; ``--json`` emits the raw spans.  ``run``,
-``suite``, ``worker`` and ``serve`` accept ``--log-level`` (or the
-``REPRO_LOG_LEVEL`` environment variable) to tune the levelled stderr
-logging that replaces bare progress prints; ``REPRO_TELEMETRY=0``
-disables metrics and tracing entirely (results are bitwise-identical
-either way).
+per-phase timing aggregates.  ``REPRO_TELEMETRY=0`` disables metrics and
+tracing entirely (results are bitwise-identical either way).
 ``gc`` prunes a per-key store back within byte / entry budgets,
 LRU-by-last-use.  Because specs fully determine their results (seeds are
 scope-derived, see EXPERIMENTS.md), re-running against the same
 ``--cache-dir`` replays measurements without refitting — including
 measurements persisted by other workers sharing the directory.
 
-Exit codes: 0 success, 2 for an unreadable or malformed spec/manifest
-(the offending field is named on stderr).
+Shared flags are declared once, in parent parsers, and mean the same on
+every subcommand that takes them:
+
+* engine — ``--n-jobs``, ``--backend``, ``--batch-size`` (``run``,
+  ``suite``, ``worker``, ``serve``): override the spec's or manifest's
+  worker count and executor backend, and fit up to ``--batch-size``
+  same-hyperparameter measurements as one vectorized multi-seed batch.
+  Results are bitwise-identical at any value.
+* queue — ``--queue-backend``, ``--lease-seconds`` (``suite``,
+  ``worker``, ``queue``, ``serve``): where durable task state lives,
+  ``fs`` (rename-claim files under ``<cache_dir>/queue/<suite>/``, the
+  default) or ``sqlite`` (transactional claims in
+  ``<cache_dir>/queue.db``), and the heartbeat lease after which a
+  claimed task may be stolen.  ``worker`` and ``queue`` read both
+  backends unless one is named.
+* retry — ``--max-attempts``, ``--stall-seconds`` (``suite``,
+  ``worker``, ``serve``): executions a task gets before a transient
+  failure parks it, and how long a study may make no progress before its
+  lease stops being renewed.
+* ``--json`` (``run``, ``suite``, ``queue``, ``gc``, ``trace``,
+  ``report``, ``list``): print the machine-readable payload instead of
+  the human summary.
+* ``--log-level`` (``run``, ``suite``, ``worker``, ``serve``): threshold
+  of the levelled stderr logging (default ``$REPRO_LOG_LEVEL`` or INFO).
+
+On ``suite``, ``--shard-members`` and the queue and retry flags require
+``--distributed``.
+
+Exit codes: 0 success, 2 for an unreadable or malformed spec/manifest or
+an out-of-range flag (the offending field is named on stderr).
 """
 
 from __future__ import annotations
@@ -100,42 +119,85 @@ class CLIError(Exception):
     traceback, exit code 2."""
 
 
-def _add_log_level(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--log-level",
+#: ``(dest, rule, message)`` for every range-checked flag, in the order a
+#: command reports them.  A flag a subcommand does not take, or left at a
+#: ``None`` default, is skipped.
+_RANGE_CHECKS = (
+    ("port", lambda v: 0 <= v <= 65535, "--port must be between 0 and 65535"),
+    ("lease_seconds", lambda v: v > 0, "--lease-seconds must be positive"),
+    ("max_attempts", lambda v: v >= 1, "--max-attempts must be at least 1"),
+    ("stall_seconds", lambda v: v > 0, "--stall-seconds must be positive"),
+    ("batch_size", lambda v: v >= 1, "--batch-size must be a positive integer"),
+    ("poll_seconds", lambda v: v > 0, "--poll-seconds must be positive"),
+    ("max_bytes", lambda v: v >= 1, "--max-bytes must be a positive integer"),
+    ("max_entries", lambda v: v >= 1, "--max-entries must be a positive integer"),
+)
+
+
+def _check_flags(args: argparse.Namespace, *, store: bool = False) -> None:
+    """Reject out-of-range flags with exit 2.
+
+    Each command calls this after its own gating (reading the spec, the
+    ``suite`` flags that require ``--distributed``); with ``store`` the
+    positional cache directory must exist first.
+    """
+    if store and not os.path.isdir(args.cache_dir):
+        raise CLIError(f"no cache directory at {args.cache_dir!r}")
+    for dest, rule, message in _RANGE_CHECKS:
+        value = getattr(args, dest, None)
+        if value is not None and not rule(value):
+            raise CLIError(message)
+
+
+def _parent() -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False)
+
+
+def _queue_flags(lease_seconds: Optional[float]) -> argparse.ArgumentParser:
+    # A factory, not one shared parent: argparse shares a parent's action
+    # objects between its children, so one child's set_defaults would
+    # change every child's default.  ``suite`` needs None (to tell an
+    # explicit --lease-seconds apart); worker, queue and serve need 30.
+    queue = _parent()
+    queue.add_argument(
+        "--queue-backend",
+        choices=QUEUE_BACKENDS,
         default=None,
-        metavar="LEVEL",
         help=(
-            "logging threshold for repro.* loggers (DEBUG, INFO, WARNING, "
-            "ERROR, CRITICAL; default: $REPRO_LOG_LEVEL or INFO)"
+            "where durable task state lives: 'fs' (rename-claim files under "
+            "<cache_dir>/queue/<suite>/, the default for new queues) or "
+            "'sqlite' (transactional claims in <cache_dir>/queue.db); "
+            "worker and queue read both unless one is named"
         ),
     )
+    queue.add_argument(
+        "--lease-seconds",
+        type=float,
+        default=lease_seconds,
+        help=(
+            "heartbeat lease after which a claimed task is presumed crashed "
+            "and may be stolen (default 30; use minutes across hosts with "
+            "clock skew)"
+        ),
+    )
+    return queue
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Run registered studies from declarative JSON specs.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    run = commands.add_parser(
-        "run", help="execute a StudySpec JSON file and print its result"
-    )
-    run.add_argument("spec", help="path to the spec JSON ('-' reads stdin)")
-    run.add_argument(
+    engine = _parent()
+    engine.add_argument(
         "--n-jobs",
         type=int,
         default=None,
-        help="override the spec's worker count (-1 = all cores)",
+        help="override the worker count per study (-1 = all cores)",
     )
-    run.add_argument(
+    engine.add_argument(
         "--backend",
         choices=VALID_BACKENDS,
         default=None,
-        help="override the spec's executor backend",
+        help="override the executor backend",
     )
-    run.add_argument(
+    engine.add_argument(
         "--batch-size",
         type=int,
         default=None,
@@ -145,23 +207,98 @@ def _build_parser() -> argparse.ArgumentParser:
             "at any value; defaults the backend to 'process')"
         ),
     )
-    run.add_argument(
+    retry = _parent()
+    retry.add_argument(
+        "--max-attempts",
+        type=int,
+        default=None,
+        help=(
+            "executions a task gets before a transient failure (OSError, "
+            "timeout) parks it as failed (default 3; deterministic errors "
+            "always park on the first)"
+        ),
+    )
+    retry.add_argument(
+        "--stall-seconds",
+        type=float,
+        default=None,
+        help=(
+            "stop renewing a task's lease when its study makes no progress "
+            "for this long, so a hung task is stolen by a healthy worker "
+            "(default: renew unconditionally)"
+        ),
+    )
+    shard = _parent()
+    shard.add_argument(
+        "--shard-members",
+        action="store_true",
+        help=(
+            "pre-shard suite members by scope path (e.g. one task per "
+            "task_names value) for finer-grained work stealing"
+        ),
+    )
+    cache_option = _parent()
+    cache_option.add_argument(
         "--cache-dir",
         default=None,
         help=(
-            "per-key measurement store shared by concurrent workers; "
-            "re-runs replay from it without refitting"
+            "per-key measurement store shared by concurrent workers "
+            "(overrides a manifest's); re-runs replay from it without "
+            "refitting"
         ),
     )
-    run.add_argument(
+    store = _parent()
+    store.add_argument(
+        "cache_dir",
+        help=(
+            "an existing per-key store directory (measurements, suite "
+            "records, work queues and telemetry all live here)"
+        ),
+    )
+    suite_name = _parent()
+    suite_name.add_argument(
+        "--suite",
+        default=None,
+        help="only this suite (default: every suite under the cache dir)",
+    )
+    as_json = _parent()
+    as_json.add_argument(
         "--json",
         action="store_true",
-        help="print the rows + provenance JSON instead of the summary table",
+        help="print the machine-readable JSON payload instead of the summary",
     )
-    _add_log_level(run)
+    logs = _parent()
+    logs.add_argument(
+        "--log-level",
+        default=None,
+        metavar="LEVEL",
+        help=(
+            "logging threshold for repro.* loggers (DEBUG, INFO, WARNING, "
+            "ERROR, CRITICAL; default: $REPRO_LOG_LEVEL or INFO)"
+        ),
+    )
+    queue = _queue_flags(lease_seconds=30.0)
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Run registered studies from declarative JSON specs.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    run = commands.add_parser(
+        "run",
+        parents=[engine, cache_option, as_json, logs],
+        help="execute a StudySpec JSON file and print its result",
+    )
+    run.add_argument("spec", help="path to the spec JSON ('-' reads stdin)")
+    run.set_defaults(handler=_run)
 
     suite = commands.add_parser(
         "suite",
+        parents=[
+            engine, cache_option, _queue_flags(lease_seconds=None), retry,
+            shard, as_json, logs,
+        ],
         help=(
             "execute every member of a SuiteSpec manifest through one "
             "shared session and cache"
@@ -169,32 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument(
         "manifest", help="path to the suite manifest JSON ('-' reads stdin)"
-    )
-    suite.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="override the manifest's worker count (-1 = all cores)",
-    )
-    suite.add_argument(
-        "--backend",
-        choices=VALID_BACKENDS,
-        default=None,
-        help="override the manifest's executor backend",
-    )
-    suite.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to this many same-hyperparameter measurements into "
-            "one vectorized multi-seed fit per dispatched task"
-        ),
-    )
-    suite.add_argument(
-        "--cache-dir",
-        default=None,
-        help="override the manifest's shared per-key measurement store",
     )
     suite.add_argument(
         "--resume",
@@ -209,92 +320,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--distributed",
         action="store_true",
         help=(
-            "execute through the durable work queue under "
-            "<cache_dir>/queue/<suite>/ so `repro worker` processes "
-            "sharing the cache dir claim tasks cooperatively; this "
-            "coordinator participates too, so zero workers still complete"
+            "execute through the durable work queue under the cache dir so "
+            "`repro worker` processes sharing it claim tasks cooperatively; "
+            "this coordinator participates too, so zero workers still "
+            "complete (--shard-members and the queue and retry flags "
+            "require it)"
         ),
     )
-    suite.add_argument(
-        "--shard-members",
-        action="store_true",
-        help=(
-            "with --distributed: pre-shard members by scope path "
-            "(e.g. one task per task_names value) for finer-grained "
-            "work stealing"
-        ),
-    )
-    suite.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=None,
-        help=(
-            "with --distributed: heartbeat lease after which a claimed "
-            "task is presumed crashed and may be stolen (default 30; use "
-            "minutes across hosts with clock skew)"
-        ),
-    )
-    suite.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help=(
-            "with --distributed: where durable task state lives — 'fs' "
-            "(rename-claim files under <cache_dir>/queue/<suite>/, the "
-            "default) or 'sqlite' (transactional claims in "
-            "<cache_dir>/queue.db; immune to clock skew and NFS rename "
-            "races)"
-        ),
-    )
-    suite.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help=(
-            "with --distributed: executions a task gets before a "
-            "transient failure (OSError, timeout) parks it as failed "
-            "(default 3; deterministic errors always park on the first)"
-        ),
-    )
-    suite.add_argument(
-        "--stall-seconds",
-        type=float,
-        default=None,
-        help=(
-            "with --distributed: stop renewing a task's lease when the "
-            "study makes no progress for this long, so a hung task is "
-            "stolen by a healthy worker (default: renew unconditionally)"
-        ),
-    )
-    suite.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full output manifest JSON instead of the summaries",
-    )
-    _add_log_level(suite)
+    suite.set_defaults(handler=_suite)
 
     worker = commands.add_parser(
         "worker",
+        parents=[store, suite_name, engine, queue, retry, logs],
         help=(
             "serve the distributed work queues under a shared cache "
             "directory: claim tasks, execute them through the shared "
             "store, heartbeat leases, steal from crashed workers"
         ),
-    )
-    worker.add_argument(
-        "cache_dir",
-        help="the shared per-key store (queues live under <cache_dir>/queue/)",
-    )
-    worker.add_argument(
-        "--suite",
-        default=None,
-        help="serve only this suite's queue (default: every queue found)",
-    )
-    worker.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        help="heartbeat lease for claimed tasks (default 30)",
     )
     worker.add_argument(
         "--poll-seconds",
@@ -327,102 +369,27 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="identity stamped into lease files (default host:pid)",
     )
-    worker.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="override each suite's per-task worker count",
-    )
-    worker.add_argument(
-        "--backend",
-        choices=VALID_BACKENDS,
-        default=None,
-        help="override each suite's executor backend",
-    )
-    worker.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to this many same-hyperparameter measurements into "
-            "one vectorized multi-seed fit per dispatched task"
-        ),
-    )
-    worker.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help=(
-            "serve only queues on this backend (default: both — fs "
-            "directories and the sqlite queue.db)"
-        ),
-    )
-    worker.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help=(
-            "executions a task gets before a transient failure parks it "
-            "(default 3)"
-        ),
-    )
-    worker.add_argument(
-        "--stall-seconds",
-        type=float,
-        default=None,
-        help=(
-            "stop renewing a task's lease when its study makes no "
-            "progress for this long (default: renew unconditionally)"
-        ),
-    )
-    _add_log_level(worker)
+    worker.set_defaults(handler=_worker)
 
-    queue = commands.add_parser(
+    queue_status = commands.add_parser(
         "queue",
+        parents=[store, suite_name, queue, as_json],
         help=(
             "show the live state of every distributed work queue under a "
             "cache directory: task counts, lease ages, attempt counts, "
             "worker ids"
         ),
     )
-    queue.add_argument(
-        "cache_dir",
-        help="the shared per-key store the queues live in",
-    )
-    queue.add_argument(
-        "--suite",
-        default=None,
-        help="show only this suite's queue(s)",
-    )
-    queue.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help="show only queues on this backend (default: both)",
-    )
-    queue.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        help=(
-            "lease horizon used to flag expired leases in the report "
-            "(default 30; match what the coordinator was started with)"
-        ),
-    )
-    queue.add_argument(
-        "--json",
-        action="store_true",
-        help="print the status reports as JSON",
-    )
+    queue_status.set_defaults(handler=_queue_status)
 
     gc = commands.add_parser(
         "gc",
+        parents=[store, as_json],
         help=(
             "prune a per-key cache directory back within byte/entry "
             "budgets (LRU-by-last-use) and sweep crash leftovers"
         ),
     )
-    gc.add_argument("cache_dir", help="per-key store directory to prune")
     gc.add_argument(
         "--max-bytes",
         type=int,
@@ -435,22 +402,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="entry-count budget for the object tree",
     )
-    gc.add_argument(
-        "--json", action="store_true", help="print the gc stats as JSON"
-    )
+    gc.set_defaults(handler=_gc)
 
     serve = commands.add_parser(
         "serve",
+        parents=[store, engine, queue, retry, shard, logs],
         help=(
             "run the HTTP/JSON study service: POST specs, stream progress "
             "over server-sent events, browse the dashboard at /"
-        ),
-    )
-    serve.add_argument(
-        "cache_dir",
-        help=(
-            "shared per-key store the service runs against (results, "
-            "suite records and work queues all live here)"
         ),
     )
     serve.add_argument(
@@ -465,27 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="port to bind (default 8321; 0 picks a free port)",
     )
     serve.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="per-study worker count for in-process execution",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=VALID_BACKENDS,
-        default=None,
-        help="executor backend for in-process execution",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help=(
-            "group up to this many same-hyperparameter measurements into "
-            "one vectorized multi-seed fit per dispatched task"
-        ),
-    )
-    serve.add_argument(
         "--max-concurrent-studies",
         type=int,
         default=None,
@@ -493,17 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "bound on studies the in-process submit pool runs at once "
             "(suites are not affected: they go through the work queue)"
         ),
-    )
-    serve.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help="queue backend for submitted suites (default fs)",
-    )
-    serve.add_argument(
-        "--shard-members",
-        action="store_true",
-        help="pre-shard suite members by scope path for finer work stealing",
     )
     serve.add_argument(
         "--no-participate",
@@ -514,87 +441,36 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=30.0,
-        help="heartbeat lease for suite tasks (default 30)",
-    )
-    serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        help="executions a suite task gets before a transient failure parks it",
-    )
-    serve.add_argument(
-        "--stall-seconds",
-        type=float,
-        default=None,
-        help="stop renewing a hung suite task's lease after this long",
-    )
-    serve.add_argument(
         "--quiet",
         action="store_true",
         help="suppress per-request access logging",
     )
-    _add_log_level(serve)
+    serve.set_defaults(handler=_serve)
 
     trace = commands.add_parser(
         "trace",
+        parents=[store, suite_name, as_json],
         help=(
             "render the telemetry span tree recorded under a cache "
             "directory (coordinator, workers and in-process runs all "
             "append to <cache_dir>/telemetry/)"
         ),
     )
-    trace.add_argument(
-        "cache_dir",
-        help="per-key store directory whose telemetry/ spans to read",
-    )
-    trace.add_argument(
-        "--suite",
-        default=None,
-        help="show only spans from this suite's trace",
-    )
-    trace.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw spans and per-phase aggregates as JSON",
-    )
+    trace.set_defaults(handler=_trace)
 
     report = commands.add_parser(
         "report",
+        parents=[store, suite_name, as_json],
         help=(
             "emit markdown + JSON variance-budget reports from cached "
             "suite completion records (zero re-execution)"
         ),
     )
-    report.add_argument(
-        "cache_dir",
-        help="per-key store directory holding suite completion records",
-    )
-    report.add_argument(
-        "--suite",
-        default=None,
-        help=(
-            "suite name to report on (default: every suite with "
-            "completion records under the cache dir)"
-        ),
-    )
-    report.add_argument(
-        "--json",
-        action="store_true",
-        help="print the suite report payload(s) as JSON instead of a summary",
-    )
+    report.set_defaults(handler=_report)
 
-    list_parser = commands.add_parser("list", help="list registered studies")
-    list_parser.add_argument(
-        "--json",
-        action="store_true",
-        help=(
-            "print the machine-readable registry catalogue (name, "
-            "artefact, description, size/smoke parameters, shard axis)"
-        ),
-    )
+    commands.add_parser(
+        "list", parents=[as_json], help="list registered studies"
+    ).set_defaults(handler=_list)
     return parser
 
 
@@ -642,8 +518,7 @@ def _run(args: argparse.Namespace) -> int:
         spec = spec.replace(n_jobs=args.n_jobs)
     if args.backend is not None:
         spec = spec.replace(backend=args.backend)
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CLIError("--batch-size must be a positive integer")
+    _check_flags(args)
     batch_size = 1 if args.batch_size is None else args.batch_size
     with Session(cache_dir=args.cache_dir, batch_size=batch_size) as session:
         result = session.run(spec)
@@ -662,8 +537,6 @@ def _suite(args: argparse.Namespace) -> int:
         overrides["cache_dir"] = args.cache_dir
     if overrides:
         suite = suite.replace(**overrides)
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CLIError("--batch-size must be a positive integer")
     if args.resume and suite.cache_dir is None:
         raise CLIError(
             "--resume requires a cache_dir (in the manifest or --cache-dir)"
@@ -709,12 +582,7 @@ def _suite(args: argparse.Namespace) -> int:
             raise CLIError("--max-attempts requires --distributed")
         if args.stall_seconds is not None:
             raise CLIError("--stall-seconds requires --distributed")
-    if args.lease_seconds is not None and args.lease_seconds <= 0:
-        raise CLIError("--lease-seconds must be positive")
-    if args.max_attempts is not None and args.max_attempts < 1:
-        raise CLIError("--max-attempts must be at least 1")
-    if args.stall_seconds is not None and args.stall_seconds <= 0:
-        raise CLIError("--stall-seconds must be positive")
+    _check_flags(args)
     scheduler_config = {}
     if args.distributed:
         scheduler_config = {
@@ -742,16 +610,7 @@ def _suite(args: argparse.Namespace) -> int:
 def _worker(args: argparse.Namespace) -> int:
     from repro.sched import Worker  # local: keep CLI start-up light
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
-    if args.lease_seconds <= 0:
-        raise CLIError("--lease-seconds must be positive")
-    if args.max_attempts is not None and args.max_attempts < 1:
-        raise CLIError("--max-attempts must be at least 1")
-    if args.stall_seconds is not None and args.stall_seconds <= 0:
-        raise CLIError("--stall-seconds must be positive")
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CLIError("--batch-size must be a positive integer")
+    _check_flags(args, store=True)
 
     logger = get_logger("worker")
 
@@ -796,10 +655,7 @@ def _worker(args: argparse.Namespace) -> int:
 def _queue_status(args: argparse.Namespace) -> int:
     from repro.sched import TaskQueue  # local: keep CLI start-up light
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
-    if args.lease_seconds <= 0:
-        raise CLIError("--lease-seconds must be positive")
+    _check_flags(args, store=True)
     queues = TaskQueue.discover(
         args.cache_dir,
         backend=args.queue_backend,
@@ -852,8 +708,7 @@ def _queue_status(args: argparse.Namespace) -> int:
 
 
 def _gc(args: argparse.Namespace) -> int:
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
+    _check_flags(args, store=True)
     stats = FileStore(args.cache_dir).gc(
         max_bytes=args.max_bytes, max_entries=args.max_entries
     )
@@ -872,18 +727,7 @@ def _gc(args: argparse.Namespace) -> int:
 def _serve(args: argparse.Namespace) -> int:
     from repro.serve import serve  # local: keep CLI start-up light
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
-    if not 0 <= args.port <= 65535:
-        raise CLIError("--port must be between 0 and 65535")
-    if args.lease_seconds <= 0:
-        raise CLIError("--lease-seconds must be positive")
-    if args.max_attempts is not None and args.max_attempts < 1:
-        raise CLIError("--max-attempts must be at least 1")
-    if args.stall_seconds is not None and args.stall_seconds <= 0:
-        raise CLIError("--stall-seconds must be positive")
-    if args.batch_size is not None and args.batch_size < 1:
-        raise CLIError("--batch-size must be a positive integer")
+    _check_flags(args, store=True)
     session_config = {}
     if args.n_jobs is not None:
         session_config["n_jobs"] = args.n_jobs
@@ -923,8 +767,7 @@ def _trace(args: argparse.Namespace) -> int:
         render_span_tree,
     )
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
+    _check_flags(args, store=True)
     spans = load_spans(args.cache_dir)
     if args.suite is not None:
         spans = filter_suite(spans, args.suite)
@@ -963,8 +806,7 @@ def _trace(args: argparse.Namespace) -> int:
 def _report(args: argparse.Namespace) -> int:
     from repro.report import ReportError, list_report_suites, write_suite_reports
 
-    if not os.path.isdir(args.cache_dir):
-        raise CLIError(f"no cache directory at {args.cache_dir!r}")
+    _check_flags(args, store=True)
     try:
         if args.suite is not None:
             suite_names = [args.suite]
@@ -1015,23 +857,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             setup_logging(getattr(args, "log_level", None))
         except ValueError as error:
             raise CLIError(str(error)) from error
-        if args.command == "list":
-            return _list(args)
-        if args.command == "suite":
-            return _suite(args)
-        if args.command == "serve":
-            return _serve(args)
-        if args.command == "worker":
-            return _worker(args)
-        if args.command == "queue":
-            return _queue_status(args)
-        if args.command == "gc":
-            return _gc(args)
-        if args.command == "report":
-            return _report(args)
-        if args.command == "trace":
-            return _trace(args)
-        return _run(args)
+        return args.handler(args)
     except CLIError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

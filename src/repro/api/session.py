@@ -385,14 +385,16 @@ class Session:
         ``batch_size``.
     cache:
         The shared measurement cache: an existing
-        :class:`~repro.engine.cache.MeasurementCache`, a path string for a
-        disk-backed cache, or ``None`` for a fresh in-memory cache.
+        :class:`~repro.engine.cache.MeasurementCache`, a directory path
+        string (the same as ``cache_dir``), or ``None`` for a fresh
+        in-memory cache.  A path naming an existing regular file, such as
+        a whole-cache pickle from an older version, raises ``ValueError``.
     cache_dir:
         Directory for per-key persistence of the shared cache: one file
         per measurement hash, written atomically, so concurrent shard
         workers — and other sessions sharing the directory — persist
         without lock contention and warm each other transparently.
-        Mutually exclusive with a ``cache`` path/instance.
+        Mutually exclusive with ``cache``.
     max_cache_entries, max_cache_bytes:
         LRU budgets applied when the session builds its own cache, keeping
         long sessions bounded in memory (entries evicted from memory stay
@@ -436,8 +438,7 @@ class Session:
             self.cache = cache
         else:
             self.cache = MeasurementCache(
-                cache,
-                cache_dir=cache_dir,
+                cache_dir=cache if isinstance(cache, str) else cache_dir,
                 max_entries=max_cache_entries,
                 max_bytes=max_cache_bytes,
                 max_store_entries=max_store_entries,
@@ -455,7 +456,7 @@ class Session:
         self.backend = backend
         self.max_concurrent_studies = max(1, int(max_concurrent_studies))
         self._executors: Dict[Tuple[int, str, int], ParallelExecutor] = {}
-        self._file_caches: Dict[str, MeasurementCache] = {}
+        self._spec_caches: Dict[str, MeasurementCache] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._studies_run = 0
@@ -477,29 +478,24 @@ class Session:
 
     def close(self) -> None:
         """Shut down the submit pool and the executors' process pools, and
-        persist disk-backed caches.
+        refresh the index of every per-key store this session wrote to.
 
         Submitted studies finish first; then every executor's worker
-        processes exit.  Every cache bound to a file path — a
-        ``Session(cache="...")`` shared cache or per-spec
-        ``StudySpec(cache="file.pkl")`` caches — is saved here (each run
-        that added entries also saved eagerly, so this is a final
-        belt-and-braces snapshot).  Blocking :meth:`run` stays usable
+        processes exit.  Entries were written through at put time, so no
+        measurement waits on close.  Blocking :meth:`run` stays usable
         after close; its first process batch forks a new pool.
         """
         with self._lock:
             pool, self._pool = self._pool, None
             self._closed = True
-            file_caches = list(self._file_caches.values())
+            spec_caches = list(self._spec_caches.values())
             executors = list(self._executors.values())
         if pool is not None:
             pool.shutdown(wait=True)
         for executor in executors:
             executor.close()
-        for cache in (self.cache, *file_caches):
+        for cache in (self.cache, *spec_caches):
             if cache.cache_dir is not None:
-                cache.save()  # entries were written through; refresh the index
-            elif cache.path is not None and len(cache):
                 cache.save()
 
     def _executor_for(self, n_jobs: int, backend: str) -> ParallelExecutor:
@@ -517,9 +513,11 @@ class Session:
         if spec.cache is False:
             return None
         with self._lock:
-            if spec.cache not in self._file_caches:
-                self._file_caches[spec.cache] = MeasurementCache(spec.cache)
-            return self._file_caches[spec.cache]
+            if spec.cache not in self._spec_caches:
+                self._spec_caches[spec.cache] = MeasurementCache(
+                    cache_dir=spec.cache
+                )
+            return self._spec_caches[spec.cache]
 
     def _submit_pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -614,15 +612,6 @@ class Session:
                 "entries": cache.stats()["entries"],
                 "evictions": view.evictions,
             }
-            if cache.path is not None and view.misses:
-                # Persist pickle-backed caches as soon as they gain
-                # entries, so warm measurements survive even without
-                # close() (e.g. a run() issued after the session was
-                # closed).  Per-key cache_dir stores need nothing here:
-                # every entry was written through at put() time, and their
-                # advisory index is refreshed once at close() rather than
-                # rescanned after every run.
-                cache.save()
         with self._lock:
             self._studies_run += 1
         return StudyResult(

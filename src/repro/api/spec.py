@@ -93,8 +93,11 @@ class StudySpec:
     cache:
         Cache configuration: ``True`` joins the session's shared
         :class:`~repro.engine.cache.MeasurementCache`, ``False`` runs
-        uncached, and a string names a dedicated disk-backed cache file
-        for this study (loaded eagerly, saved when the session closes).
+        uncached, and a string names a dedicated per-key store directory
+        for this study, written through on every measurement like a
+        session's ``cache_dir``.  A string naming an existing regular
+        file, such as a whole-cache pickle from an older version, makes
+        the run raise ``ValueError``.
     random_state:
         Integer seed, or ``None`` for fresh entropy.  Kept as a plain int
         (never a generator) so the spec stays serializable.

@@ -15,16 +15,14 @@ behind a content hash of everything that determines the outcome:
 
 Because a measurement is a pure function of that key, cached replay is
 bitwise identical to recomputation.  The cache is thread-safe and can be
-persisted to disk so expensive studies survive process restarts — either
-as one monolithic pickle (``path=...``, :meth:`save` / :meth:`load`) or,
-for concurrent writers, as a content-addressed per-key file store
-(``cache_dir=...``, backed by :class:`FileStore`): one file per
-measurement hash, written atomically via temp-file + rename, plus a small
-JSON index.  Because every write lands under its own content hash and a
-key's value is a pure function of the key, any number of shard workers —
-or whole sessions, or eventually hosts — can share one ``cache_dir``
-without locks: the worst race is two writers racing to persist the same
-bytes.
+persisted to disk so expensive studies survive process restarts, as a
+content-addressed per-key file store (``cache_dir=...``, backed by
+:class:`FileStore`): one file per measurement hash, written through
+atomically via temp-file + rename on every put, plus a small JSON index.
+Because every write lands under its own content hash and a key's value
+is a pure function of the key, any number of shard workers — or whole
+sessions, or eventually hosts — can share one ``cache_dir`` without
+locks: the worst race is two writers racing to persist the same bytes.
 """
 
 from __future__ import annotations
@@ -222,6 +220,14 @@ def measurement_key(
     return hashlib.sha256(blob).hexdigest()
 
 
+def _check_budgets(max_bytes: Optional[int], max_entries: Optional[int]) -> None:
+    """Reject a zero or negative budget: it would empty the store."""
+    if max_bytes is not None and max_bytes < 1:
+        raise ValueError("max_bytes must be a positive integer or None")
+    if max_entries is not None and max_entries < 1:
+        raise ValueError("max_entries must be a positive integer or None")
+
+
 class FileStore:
     """Content-addressed per-key persistence under one directory.
 
@@ -263,11 +269,14 @@ class FileStore:
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
     ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be a positive integer or None")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be a positive integer or None")
+        _check_budgets(max_bytes, max_entries)
         self.directory = str(directory)
+        if os.path.isfile(self.directory):
+            raise ValueError(
+                f"{self.directory!r} is a file: caches are per-key store "
+                f"directories now (a whole-cache pickle from an older "
+                f"version cannot be read); name a directory instead"
+            )
         self._objects = os.path.join(self.directory, "objects")
         self.max_bytes = max_bytes
         self.max_entries = max_entries
@@ -482,13 +491,13 @@ class FileStore:
 
         ``max_bytes``/``max_entries`` override the configured budgets for
         this pass (``None`` uses the store's own; a store with no budgets
-        only sweeps crash leftovers and refreshes the index).  Eviction
-        order is oldest file mtime first (reads refresh mtimes, so this is
-        least-recently-used, not least-recently-written); the most recent
-        entry is never deleted — and neither is ``protect`` (the key a
-        triggering write just persisted, immune even to an mtime tie on
-        filesystems with coarse timestamps) — so one oversized measurement
-        still persists.  Orphaned ``.tmp`` files older than
+        only sweeps crash leftovers and refreshes the index) and, like the
+        constructor's, must be positive.  Eviction order is oldest file
+        mtime first (reads refresh mtimes, so this is least-recently-used,
+        not least-recently-written); the most recent entry is never
+        deleted — and neither is ``protect`` (the key a triggering write
+        just persisted, immune even to an mtime tie on filesystems with
+        coarse timestamps) — so one oversized measurement still persists.  Orphaned ``.tmp`` files older than
         ``tmp_grace_seconds`` (crash debris — live writers rename theirs
         within milliseconds) are swept, and the advisory index is
         atomically rewritten whenever anything was deleted, so it never
@@ -497,6 +506,7 @@ class FileStore:
         Returns a stats dict: entries/bytes removed by this pass, tmp files
         swept, and the surviving entry/byte counts.
         """
+        _check_budgets(max_bytes, max_entries)
         budget_bytes = self.max_bytes if max_bytes is None else int(max_bytes)
         budget_entries = (
             self.max_entries if max_entries is None else int(max_entries)
@@ -595,18 +605,15 @@ class MeasurementCache:
 
     Parameters
     ----------
-    path:
-        Optional file path for persistence.  When given, :meth:`load` is
-        attempted eagerly (a missing file is fine) and :meth:`save` writes
-        the full store with :mod:`pickle`.
     cache_dir:
         Optional directory for per-key persistence through a
-        :class:`FileStore`.  Every :meth:`put` writes through to its own
-        file immediately (atomic rename), and a :meth:`get` miss falls
-        back to the store before reporting a miss — so concurrent shard
-        workers, sessions or hosts sharing the directory persist without
-        lock contention and warm each other transparently.  Mutually
-        exclusive with ``path``.
+        :class:`FileStore`, the only on-disk format.  Every :meth:`put`
+        writes through to its own file immediately (atomic rename), and a
+        :meth:`get` miss falls back to the store before reporting a miss —
+        so concurrent shard workers, sessions or hosts sharing the
+        directory persist without lock contention and warm each other
+        transparently, and a crash loses at most the entry in flight.
+        ``None`` keeps the cache in memory only.
     max_entries:
         Optional capacity bound; exceeding it evicts the least recently
         *used* entries (a :meth:`get` hit refreshes an entry's recency, so
@@ -635,7 +642,6 @@ class MeasurementCache:
 
     def __init__(
         self,
-        path: Optional[str] = None,
         *,
         cache_dir: Optional[str] = None,
         max_entries: Optional[int] = None,
@@ -643,15 +649,7 @@ class MeasurementCache:
         max_store_entries: Optional[int] = None,
         max_store_bytes: Optional[int] = None,
     ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be a positive integer or None")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be a positive integer or None")
-        if path is not None and cache_dir is not None:
-            raise ValueError(
-                "path (monolithic pickle) and cache_dir (per-key file store) "
-                "are mutually exclusive"
-            )
+        _check_budgets(max_bytes, max_entries)
         if (
             max_store_entries is not None or max_store_bytes is not None
         ) and cache_dir is None:
@@ -663,7 +661,6 @@ class MeasurementCache:
         self._sizes: Dict[str, int] = {}
         self._total_bytes = 0
         self._lock = threading.Lock()
-        self.path = path
         self.cache_dir = cache_dir
         self._file_store = (
             FileStore(
@@ -680,13 +677,11 @@ class MeasurementCache:
         self.misses = 0
         self.evictions = 0
         self.store_hits = 0
-        if path is not None:
-            self.load(missing_ok=True)
 
     @property
     def persistent(self) -> bool:
-        """True when the cache is bound to any on-disk backend."""
-        return self.path is not None or self.cache_dir is not None
+        """True when the cache persists to a per-key store directory."""
+        return self.cache_dir is not None
 
     @property
     def store(self) -> Optional[FileStore]:
@@ -867,48 +862,26 @@ class MeasurementCache:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: Optional[str] = None) -> str:
-        """Persist the cache (monolithic pickle, or store index).
+    def _require_store(self) -> FileStore:
+        if self._file_store is None:
+            raise ValueError(
+                "this cache is in memory only; bind a cache_dir to persist it"
+            )
+        return self._file_store
 
-        With ``path`` bound (or given), the full in-memory store is
-        pickled there.  With ``cache_dir`` bound, every entry was already
-        written through at :meth:`put` time, so saving only refreshes the
-        advisory ``index.json``.
+    def save(self) -> str:
+        """Refresh the store's advisory ``index.json``; returns ``cache_dir``.
+
+        Every entry was already written through at :meth:`put` time, so
+        nothing else needs saving.
         """
-        target = path or self.path
-        if target is None and self._file_store is not None:
-            self._file_store.write_index()
-            return self.cache_dir
-        if target is None:
-            raise ValueError("no path bound to the cache and none given")
-        with self._lock:
-            snapshot = dict(self._store)
-        with open(target, "wb") as handle:
-            pickle.dump(snapshot, handle)
-        return target
+        self._require_store().write_index()
+        return self.cache_dir
 
-    def load(self, path: Optional[str] = None, *, missing_ok: bool = False) -> int:
-        """Merge persisted entries into the store.
+    def load(self) -> int:
+        """The number of keys persisted in the store.
 
-        With ``cache_dir`` bound, nothing is read eagerly — entries stream
-        in lazily on :meth:`get` misses — and the returned count is the
-        number of keys currently persisted.  Otherwise the pickle at
-        ``path`` is merged in full; returns the number of entries loaded.
+        Nothing is read eagerly: entries stream in lazily on :meth:`get`
+        misses.
         """
-        target = path or self.path
-        if target is None and self._file_store is not None:
-            return len(self._file_store)
-        if target is None:
-            raise ValueError("no path bound to the cache and none given")
-        try:
-            with open(target, "rb") as handle:
-                snapshot = pickle.load(handle)
-        except FileNotFoundError:
-            if missing_ok:
-                return 0
-            raise
-        with self._lock:
-            for key, measurement in snapshot.items():
-                self._insert(key, measurement)
-            self._evict()
-        return len(snapshot)
+        return len(self._require_store())

@@ -58,7 +58,8 @@ class Coordinator:
         bitwise-identical; a sharded member's ``report()`` concatenates
         per-shard reports, exactly like a merged ``submit`` handle.
     lease_seconds, poll_seconds:
-        Queue lease for claimed tasks and the coordinator's poll cadence.
+        Queue lease for claimed tasks and the coordinator's poll cadence
+        (positive: zero would spin on the queue).
     queue_backend:
         ``"fs"`` (default) or ``"sqlite"`` — where the queue's durable
         task state lives (see :mod:`repro.sched.backend`).  Results are
@@ -90,6 +91,8 @@ class Coordinator:
                 "distributed suite execution shares work through the per-key "
                 "store and therefore requires a cache_dir"
             )
+        if poll_seconds <= 0:
+            raise ValueError("poll_seconds must be positive")
         suite.validate()
         self.session = session
         self.suite = suite

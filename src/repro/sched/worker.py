@@ -100,7 +100,7 @@ class Worker:
         Stable identity for leases and logs (default ``host:pid``).
     lease_seconds, poll_seconds:
         Heartbeat lease for claimed tasks, and how long to sleep when no
-        task is claimable.
+        task is claimable (positive: zero would spin on the queue).
     queue_backend:
         ``"fs"``, ``"sqlite"``, or ``None`` (default) to serve queues on
         *both* backends — a fleet need not know how each coordinator
@@ -157,6 +157,8 @@ class Worker:
         self.suite = suite
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.lease_seconds = float(lease_seconds)
+        if poll_seconds <= 0:
+            raise ValueError("poll_seconds must be positive")
         self.poll_seconds = float(poll_seconds)
         self.queue_backend = queue_backend
         self.max_attempts = max_attempts

@@ -11,6 +11,7 @@ Covers the three layers of the front door:
 """
 
 import json
+import os
 import threading
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 
@@ -24,6 +25,7 @@ from repro.api.registry import ENGINE_PARAMS
 from repro.api.results import StudyResult
 from repro.api.session import StudyHandle
 from repro.engine import MeasurementCache, StudyCancelled
+from repro.engine.cache import FileStore
 
 #: Studies whose smoke-scale run is fast enough for the equivalence matrix.
 ALL_STUDIES = list_studies()
@@ -530,6 +532,55 @@ class TestSessionCacheDir:
             result = session.run(spec)
         assert result.cache_stats["evictions"] > 0
         assert "evictions=" in result.summary()
+
+
+class TestStringCacheIsAPerKeyStore:
+    """A string cache names a per-key store directory, the one on-disk
+    format: written through on every measurement, never a pickle file."""
+
+    @staticmethod
+    def _assert_per_key_store(directory):
+        names = sorted(os.listdir(directory))
+        assert "objects" in names
+        assert not [name for name in names if name.endswith(".pkl")]
+        assert len(FileStore(directory)) > 0
+
+    def test_spec_cache_string_persists_per_key(self, tmp_path):
+        directory = str(tmp_path / "study-store")
+        spec = _smoke_spec("binomial", n_jobs=1).replace(cache=directory)
+        with Session() as session:
+            cold = session.run(spec)
+            # Written through at put time, before close() refreshes the index.
+            self._assert_per_key_store(directory)
+        assert cold.cache_stats["misses"] > 0
+        with Session() as fresh:
+            warm = fresh.run(spec)
+        assert warm.cache_stats["misses"] == 0
+        assert warm.to_rows() == cold.to_rows()
+
+    def test_session_cache_string_persists_per_key(self, tmp_path):
+        directory = str(tmp_path / "shared-store")
+        spec = _smoke_spec("binomial", n_jobs=1)
+        with Session(cache=directory) as session:
+            cold = session.run(spec)
+            self._assert_per_key_store(directory)
+        with Session(cache=directory) as fresh:
+            warm = fresh.run(spec)
+        assert warm.cache_stats["misses"] == 0
+        assert fresh.cache.store_hits > 0
+        assert warm.to_rows() == cold.to_rows()
+
+    def test_existing_file_is_rejected_and_left_alone(self, tmp_path):
+        old = tmp_path / "old-cache.pkl"
+        old.write_bytes(b"a whole-cache pickle from an older version")
+        with pytest.raises(ValueError, match="old-cache.pkl") as error:
+            Session(cache=str(old))
+        assert "per-key store directories" in str(error.value)
+        spec = _smoke_spec("binomial", n_jobs=1).replace(cache=str(old))
+        with Session() as session:
+            with pytest.raises(ValueError, match="old-cache.pkl"):
+                session.run(spec)
+        assert old.read_bytes() == b"a whole-cache pickle from an older version"
 
 
 # ----------------------------------------------------------------------

@@ -207,6 +207,19 @@ class TestExplicitGC:
             assert final.read(key) == "x" * 64
 
 
+    @pytest.mark.parametrize(
+        "budget", [{"max_bytes": 0}, {"max_bytes": -1}, {"max_entries": 0}]
+    )
+    def test_gc_rejects_non_positive_overrides(self, tmp_path, budget):
+        # The constructor's rule: a zero budget would empty the store.
+        store = FileStore(str(tmp_path))
+        for key in ("aa11", "bb22", "cc33"):
+            store.write(key, key)
+        with pytest.raises(ValueError, match="positive integer"):
+            store.gc(**budget)
+        assert sorted(store.keys()) == ["aa11", "bb22", "cc33"]
+
+
 class TestMeasurementCacheStoreBudgets:
     def test_write_through_prunes_disk_but_memory_still_serves(self, tmp_path):
         cache = MeasurementCache(
@@ -232,7 +245,7 @@ class TestMeasurementCacheStoreBudgets:
         with pytest.raises(ValueError, match="cache_dir"):
             MeasurementCache(max_store_bytes=1024)
         with pytest.raises(ValueError, match="cache_dir"):
-            MeasurementCache(str(tmp_path / "c.pkl"), max_store_entries=4)
+            MeasurementCache(max_store_entries=4)
 
     def test_session_forwards_store_budgets(self, tmp_path):
         with Session(

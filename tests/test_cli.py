@@ -7,11 +7,12 @@ traceback.  Success-path payload shapes (``run --json``, ``suite
 --json``, ``gc --json``) are asserted structurally.
 """
 
+import argparse
 import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_parser, main
 from repro.api import StudySpec, SuiteSpec, list_studies
 from repro.engine.cache import FileStore
 
@@ -272,3 +273,233 @@ class TestReportCommand:
         assert main(["report", str(store), "--suite", "s"]) == 0
         objects = FileStore(str(store))
         assert (len(objects), objects.total_bytes) == before
+
+
+BACKENDS = ("serial", "thread", "process")
+QUEUES = ("fs", "sqlite")
+STORE, FLAG = "_StoreAction", "_StoreTrueAction"
+
+#: The CLI's interface contract, which scripts and CI jobs depend on:
+#: every subcommand's positionals and its options, option string ->
+#: (default, type name, choices, action class).
+INTERFACE = {
+    "run": (
+        ["spec"],
+        {
+            "--backend": (None, None, BACKENDS, STORE),
+            "--batch-size": (None, "int", None, STORE),
+            "--cache-dir": (None, None, None, STORE),
+            "--json": (False, None, None, FLAG),
+            "--log-level": (None, None, None, STORE),
+            "--n-jobs": (None, "int", None, STORE),
+        },
+    ),
+    "suite": (
+        ["manifest"],
+        {
+            "--backend": (None, None, BACKENDS, STORE),
+            "--batch-size": (None, "int", None, STORE),
+            "--cache-dir": (None, None, None, STORE),
+            "--distributed": (False, None, None, FLAG),
+            "--json": (False, None, None, FLAG),
+            "--lease-seconds": (None, "float", None, STORE),
+            "--log-level": (None, None, None, STORE),
+            "--max-attempts": (None, "int", None, STORE),
+            "--n-jobs": (None, "int", None, STORE),
+            "--queue-backend": (None, None, QUEUES, STORE),
+            "--resume": (False, None, None, FLAG),
+            "--shard-members": (False, None, None, FLAG),
+            "--stall-seconds": (None, "float", None, STORE),
+        },
+    ),
+    "worker": (
+        ["cache_dir"],
+        {
+            "--backend": (None, None, BACKENDS, STORE),
+            "--batch-size": (None, "int", None, STORE),
+            "--exit-when-done": (False, None, None, FLAG),
+            "--lease-seconds": (30.0, "float", None, STORE),
+            "--log-level": (None, None, None, STORE),
+            "--max-attempts": (None, "int", None, STORE),
+            "--max-tasks": (None, "int", None, STORE),
+            "--n-jobs": (None, "int", None, STORE),
+            "--poll-seconds": (0.5, "float", None, STORE),
+            "--queue-backend": (None, None, QUEUES, STORE),
+            "--stall-seconds": (None, "float", None, STORE),
+            "--suite": (None, None, None, STORE),
+            "--timeout": (None, "float", None, STORE),
+            "--worker-id": (None, None, None, STORE),
+        },
+    ),
+    "queue": (
+        ["cache_dir"],
+        {
+            "--json": (False, None, None, FLAG),
+            "--lease-seconds": (30.0, "float", None, STORE),
+            "--queue-backend": (None, None, QUEUES, STORE),
+            "--suite": (None, None, None, STORE),
+        },
+    ),
+    "gc": (
+        ["cache_dir"],
+        {
+            "--json": (False, None, None, FLAG),
+            "--max-bytes": (None, "int", None, STORE),
+            "--max-entries": (None, "int", None, STORE),
+        },
+    ),
+    "serve": (
+        ["cache_dir"],
+        {
+            "--backend": (None, None, BACKENDS, STORE),
+            "--batch-size": (None, "int", None, STORE),
+            "--host": ("127.0.0.1", None, None, STORE),
+            "--lease-seconds": (30.0, "float", None, STORE),
+            "--log-level": (None, None, None, STORE),
+            "--max-attempts": (None, "int", None, STORE),
+            "--max-concurrent-studies": (None, "int", None, STORE),
+            "--n-jobs": (None, "int", None, STORE),
+            "--no-participate": (False, None, None, FLAG),
+            "--port": (8321, "int", None, STORE),
+            "--queue-backend": (None, None, QUEUES, STORE),
+            "--quiet": (False, None, None, FLAG),
+            "--shard-members": (False, None, None, FLAG),
+            "--stall-seconds": (None, "float", None, STORE),
+        },
+    ),
+    "trace": (
+        ["cache_dir"],
+        {
+            "--json": (False, None, None, FLAG),
+            "--suite": (None, None, None, STORE),
+        },
+    ),
+    "report": (
+        ["cache_dir"],
+        {
+            "--json": (False, None, None, FLAG),
+            "--suite": (None, None, None, STORE),
+        },
+    ),
+    "list": (
+        [],
+        {
+            "--json": (False, None, None, FLAG),
+        },
+    ),
+}
+
+
+def _subcommands():
+    parser = _build_parser()
+    (commands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices
+
+
+class TestInterface:
+    def test_every_subcommand_keeps_its_options_and_defaults(self):
+        built = {}
+        for name, parser in _subcommands().items():
+            positionals, options = [], {}
+            for action in parser._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                if not action.option_strings:
+                    positionals.append(action.dest)
+                    continue
+                for option in action.option_strings:
+                    options[option] = (
+                        action.default,
+                        None if action.type is None else action.type.__name__,
+                        None if action.choices is None else tuple(action.choices),
+                        type(action).__name__,
+                    )
+            built[name] = (positionals, options)
+        assert built == INTERFACE
+
+    def test_lease_and_poll_defaults_per_subcommand(self):
+        # suite keeps None so an explicit --lease-seconds is detectable
+        # ("requires --distributed"); the long-lived commands default to 30.
+        parsers = _subcommands()
+        assert parsers["suite"].parse_args(["m.json"]).lease_seconds is None
+        for name in ("worker", "queue", "serve"):
+            assert parsers[name].parse_args(["d"]).lease_seconds == 30.0
+        assert parsers["worker"].parse_args(["d"]).poll_seconds == 0.5
+
+    @pytest.mark.parametrize("command", sorted(INTERFACE))
+    def test_help_formats_for_every_subcommand(self, command, capsys):
+        # argparse only %-formats help strings when --help runs.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for option in INTERFACE[command][1]:
+            assert option in out
+
+
+#: What each range-checked flag's rejection says after the flag name.
+RANGE_MESSAGES = {
+    "--batch-size": "must be a positive integer",
+    "--max-attempts": "must be at least 1",
+    "--stall-seconds": "must be positive",
+    "--lease-seconds": "must be positive",
+    "--poll-seconds": "must be positive",
+    "--port": "must be between 0 and 65535",
+    "--max-bytes": "must be a positive integer",
+    "--max-entries": "must be a positive integer",
+}
+
+#: (subcommand, flag, value) for every range-checked flag on every
+#: subcommand that takes it.
+RANGE_CASES = [
+    ("run", "--batch-size", "0"),
+    *[
+        (command, flag, "0")
+        for command in ("suite", "worker", "serve")
+        for flag in ("--batch-size", "--max-attempts", "--stall-seconds")
+    ],
+    *[
+        (command, "--lease-seconds", "0")
+        for command in ("suite", "worker", "queue", "serve")
+    ],
+    ("worker", "--poll-seconds", "0"),
+    ("worker", "--poll-seconds", "-1"),
+    ("serve", "--port", "65536"),
+    ("serve", "--port", "-1"),
+    ("gc", "--max-bytes", "0"),
+    ("gc", "--max-bytes", "-5"),
+    ("gc", "--max-entries", "0"),
+    ("gc", "--max-entries", "-1"),
+]
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("command,flag,value", RANGE_CASES)
+    def test_out_of_range_flag_exits_2_with_its_message(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        store = FileStore(str(tmp_path / "store"))
+        for key in ("aa11", "bb22", "cc33", "dd44", "ee55"):
+            store.write(key, "x" * 64)
+        if command == "run":
+            argv = ["run", _spec_file(tmp_path, SPEC)]
+        elif command == "suite":
+            suite = SuiteSpec(name="s", specs=[("only", SPEC)])
+            argv = ["suite", _suite_file(tmp_path, suite), "--cache-dir", store.directory]
+            if flag != "--batch-size":
+                argv.append("--distributed")  # the scheduler flags require it
+        else:
+            # --timeout bounds a worker that wrongly starts serving.
+            argv = [command, store.directory]
+            if command == "worker":
+                argv += ["--timeout", "1"]
+        assert main(argv + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{flag} {RANGE_MESSAGES[flag]}" in err
+        # Rejected before touching the store: gc deleted nothing.
+        assert len(FileStore(store.directory)) == 5

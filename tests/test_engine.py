@@ -157,25 +157,6 @@ class TestMeasurementCache:
         np.testing.assert_array_equal(uncached, warm)
         np.testing.assert_array_equal(warm, replayed)
 
-    def test_persistence_roundtrip(self, tmp_path, classification_process, seed_bundle):
-        path = str(tmp_path / "cache.pkl")
-        cache = MeasurementCache(path)
-        runner = StudyRunner(classification_process, cache=cache)
-        score = runner.run_scores([WorkItem(seeds=seed_bundle)])[0]
-        cache.save()
-
-        reloaded = MeasurementCache(path)
-        assert len(reloaded) == 1
-        rerun = StudyRunner(classification_process, cache=reloaded)
-        assert rerun.run_scores([WorkItem(seeds=seed_bundle)])[0] == score
-        assert reloaded.hits == 1 and reloaded.misses == 0
-
-    def test_missing_file_is_fine(self, tmp_path):
-        cache = MeasurementCache(str(tmp_path / "absent.pkl"))
-        assert len(cache) == 0
-        with pytest.raises(FileNotFoundError):
-            cache.load(str(tmp_path / "absent.pkl"))
-
     def test_max_entries_evicts_oldest(self):
         cache = MeasurementCache(max_entries=2)
         cache.put("a", "ma")
@@ -224,16 +205,6 @@ class TestMeasurementCache:
             MeasurementCache(max_entries=0)
         with pytest.raises(ValueError):
             MeasurementCache(max_bytes=0)
-
-    def test_load_respects_budgets(self, tmp_path):
-        path = str(tmp_path / "cache.pkl")
-        full = MeasurementCache(path)
-        for key in "abcd":
-            full.put(key, f"m{key}")
-        full.save()
-        bounded = MeasurementCache(path, max_entries=2)
-        assert len(bounded) == 2
-        assert "d" in bounded  # most recently merged entries survive
 
     def test_stats_include_eviction_counters(self):
         stats = MeasurementCache().stats()
@@ -320,14 +291,9 @@ class TestCacheDirStore:
         assert cache.load() == 1
         assert cache.store.read_index()["entries"] == 1
 
-    def test_path_and_cache_dir_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            MeasurementCache(str(tmp_path / "c.pkl"), cache_dir=str(tmp_path))
-
     def test_persistent_flag(self, tmp_path):
         assert not MeasurementCache().persistent
         assert MeasurementCache(cache_dir=str(tmp_path)).persistent
-        assert MeasurementCache(str(tmp_path / "c.pkl")).persistent
 
     def test_concurrent_writers_do_not_corrupt(self, tmp_path):
         """Many caches hammering one directory: every entry survives intact."""

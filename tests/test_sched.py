@@ -1247,6 +1247,25 @@ class TestWorkerCLI:
         assert "no cache directory" in capsys.readouterr().err
 
 
+class TestPollInterval:
+    """A zero poll interval would spin on the queue and a negative one
+    fails at the first idle sleep, so both are rejected up front."""
+
+    @pytest.mark.parametrize("poll_seconds", [0, -1.0])
+    def test_worker_rejects_non_positive_poll(self, tmp_path, poll_seconds):
+        with pytest.raises(ValueError, match="poll_seconds must be positive"):
+            Worker(str(tmp_path), poll_seconds=poll_seconds)
+
+    @pytest.mark.parametrize("poll_seconds", [0, -1.0])
+    def test_coordinator_rejects_non_positive_poll(self, tmp_path, poll_seconds):
+        suite = _suite(tmp_path / "store")
+        with Session.for_suite(suite) as session:
+            with pytest.raises(ValueError, match="poll_seconds must be positive"):
+                Coordinator(session, suite, poll_seconds=poll_seconds)
+            with pytest.raises(ValueError, match="poll_seconds must be positive"):
+                session.run_suite(suite, distributed=True, poll_seconds=0)
+
+
 # ----------------------------------------------------------------------
 # Shard affinity: workers prefer the member they last committed
 # ----------------------------------------------------------------------
