@@ -320,7 +320,9 @@ class SuiteHandle:
         ``elapsed_seconds`` is the wall-clock time from submission to the
         completion of the last member (matching :meth:`Session.run_suite`
         semantics), not the sum of per-member times — members overlap on
-        the submit pool.
+        the submit pool.  With a ``cache_dir`` bound it writes the suite's
+        output manifest, as :meth:`Session.run_suite` does; a cancelled
+        handle writes none.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         results: "Dict[str, StudyResult]" = {}
@@ -331,12 +333,17 @@ class SuiteHandle:
             finished = self._finished
         if finished is None:  # pragma: no cover - all results resolved above
             finished = time.perf_counter()
-        return SuiteResult(
+        suite_result = SuiteResult(
             self.suite,
             results,
             elapsed_seconds=finished - self._started,
             cache=None if self._session is None else self._session.cache.stats(),
         )
+        if self._session is not None and not self.cancelled():
+            records_dir = self._session._suite_records_dir(self.suite)
+            if records_dir is not None:
+                self._session._write_suite_manifest(records_dir, suite_result)
+        return suite_result
 
     def partial_results(self) -> Iterator[Tuple[str, StudyResult]]:
         """Yield ``(name, result)`` as members complete (streaming order).
@@ -882,10 +889,7 @@ class Session:
             cache=self.cache.stats(),
         )
         if records_dir is not None:
-            atomic_write(
-                os.path.join(records_dir, "manifest.json"),
-                suite_result.to_json(indent=2).encode("utf-8"),
-            )
+            self._write_suite_manifest(records_dir, suite_result)
         return suite_result
 
     def submit_suite(
@@ -1031,6 +1035,16 @@ class Session:
             atomic_write(
                 os.path.join(records_dir, f"{name}.raw.pkl"), fidelity
             )
+
+    @staticmethod
+    def _write_suite_manifest(records_dir: str, suite_result: SuiteResult) -> None:
+        """Atomically write the suite's output manifest, which fixes the
+        member order of ``repro report``.  Every executor writes it once
+        all members have completed."""
+        atomic_write(
+            os.path.join(records_dir, "manifest.json"),
+            suite_result.to_json(indent=2).encode("utf-8"),
+        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.utils.rng import MAX_SEED
+
 __all__ = ["StudySpec", "SuiteSpec"]
 
 #: Backends understood by the measurement engine (mirrors
@@ -99,8 +101,9 @@ class StudySpec:
         file, such as a whole-cache pickle from an older version, makes
         the run raise ``ValueError``.
     random_state:
-        Integer seed, or ``None`` for fresh entropy.  Kept as a plain int
-        (never a generator) so the spec stays serializable.
+        Integer seed in ``[0, 2**32 - 1)``, or ``None`` for fresh entropy.
+        Kept as a plain int (never a generator) so the spec stays
+        serializable.
     """
 
     study: str
@@ -139,6 +142,11 @@ class StudySpec:
                 raise TypeError(
                     "random_state must be an int or None (generators are not "
                     "serializable; seed them outside the spec)"
+                )
+            if not 0 <= self.random_state < MAX_SEED:
+                raise ValueError(
+                    f"random_state must be in [0, {MAX_SEED}), "
+                    f"got {self.random_state}"
                 )
 
     def __hash__(self) -> int:

@@ -27,7 +27,7 @@ from repro.core.benchmark import BenchmarkProcess, Measurement
 from repro.core.sources import VarianceSource, sources_for_subset
 from repro.engine.runner import StudyRunner, WorkItem, ensure_runner
 from repro.utils.rng import SeedBundle, SeedScope
-from repro.utils.validation import check_positive_int, check_random_state
+from repro.utils.validation import check_positive_int
 
 __all__ = ["EstimatorResult", "IdealEstimator", "FixHOptEstimator", "estimator_cost"]
 
@@ -117,32 +117,25 @@ class IdealEstimator:
         *,
         random_state=None,
         runner: Optional[StudyRunner] = None,
-        scope: Optional[SeedScope] = None,
     ) -> EstimatorResult:
         """Collect ``k`` fully independent measurements of ``process``.
 
-        Every measurement draws a fresh :class:`~repro.utils.rng.SeedBundle`
+        Every measurement gets a fresh :class:`~repro.utils.rng.SeedBundle`
         (all :math:`\\xi_O` and :math:`\\xi_H` sources randomized) and runs a
-        full HOpt before the final fit.  The bundles are pre-drawn, then
+        full HOpt before the final fit.  Bundle ``i`` is derived from the
+        scope path ``k=<i>`` under ``random_state`` (an int, a numpy
+        Generator, a :class:`~repro.utils.rng.SeedScope` or ``None``), then
         the batch executes through ``runner`` (a serial
         :class:`~repro.engine.runner.StudyRunner` by default), so results
-        are identical for any ``n_jobs``.  With ``scope`` given, bundle
-        ``i`` is derived from the scope path ``k=<i>`` instead of the
-        ``random_state`` stream.
+        are identical for any ``n_jobs``.
         """
         k = check_positive_int(k, "k")
+        scope = SeedScope.from_state(random_state)
         runner = ensure_runner(runner, process)
-        if scope is not None:
-            items = [
-                WorkItem.from_scope(scope.child("k", i), with_hpo=True)
-                for i in range(k)
-            ]
-        else:
-            rng = check_random_state(random_state)
-            items = [
-                WorkItem(seeds=SeedBundle.random(rng), with_hpo=True)
-                for _ in range(k)
-            ]
+        items = [
+            WorkItem.from_scope(scope.child("k", i), with_hpo=True)
+            for i in range(k)
+        ]
         measurements = runner.run(items)
         scores = np.array([m.test_score for m in measurements], dtype=float)
         return EstimatorResult(
@@ -181,7 +174,6 @@ class FixHOptEstimator:
         hparams: Optional[Dict[str, Any]] = None,
         base_seeds: Optional[SeedBundle] = None,
         runner: Optional[StudyRunner] = None,
-        scope: Optional[SeedScope] = None,
     ) -> EstimatorResult:
         """Collect ``k`` correlated measurements sharing one HOpt outcome.
 
@@ -192,34 +184,25 @@ class FixHOptEstimator:
         k:
             Number of measurements.
         random_state:
-            Seed or generator driving the randomization between
-            measurements *and* the single HOpt run (through ``base_seeds``
-            when not supplied).  Ignored when ``scope`` is given.
+            An int, a numpy Generator, a :class:`~repro.utils.rng.SeedScope`
+            or ``None``.  The base bundle (unless ``base_seeds`` is given)
+            and each measurement's randomized subset (``k=<i>``) are
+            derived from scope paths under it.
         hparams:
             Pre-computed hyperparameters; when given, the HOpt run is
             skipped (useful to amortize one HOpt across repetitions of the
             estimator, as in the paper's 20-repetition protocol).
         base_seeds:
             Seed bundle defining the *fixed* values of the sources that are
-            not randomized; a random bundle is drawn when omitted.
+            not randomized; derived from ``random_state`` when omitted.
         runner:
-            Measurement engine the ``k`` pre-drawn measurements are
-            submitted through; a serial runner is built when omitted.
-        scope:
-            Optional :class:`~repro.utils.rng.SeedScope`; when given, the
-            base bundle and each measurement's randomized subset are
-            derived from scope paths (``k=<i>``), independent of iteration
-            order.
+            Measurement engine the ``k`` measurements are submitted
+            through; a serial runner is built when omitted.
         """
         k = check_positive_int(k, "k")
+        scope = SeedScope.from_state(random_state)
         runner = ensure_runner(runner, process)
-        rng = None if scope is not None else check_random_state(random_state)
-        if base_seeds is not None:
-            seeds = base_seeds
-        elif scope is not None:
-            seeds = scope.bundle()
-        else:
-            seeds = SeedBundle.random(rng)
+        seeds = scope.bundle() if base_seeds is None else base_seeds
         n_fits = 0
         if hparams is None:
             hpo_result = process.run_hpo(seeds)
@@ -229,20 +212,15 @@ class FixHOptEstimator:
         # (set iteration order depends on the interpreter's hash seed).
         source_names = sorted(s.value for s in self.sources)
         items: List[WorkItem] = []
-        if scope is not None:
-            for i in range(k):
-                measure_scope = scope.child("k", i)
-                items.append(
-                    WorkItem(
-                        seeds=seeds.with_seeds(**measure_scope.seeds_for(source_names)),
-                        hparams=hparams,
-                        scope_path=measure_scope.path_str(),
-                    )
+        for i in range(k):
+            measure_scope = scope.child("k", i)
+            items.append(
+                WorkItem(
+                    seeds=seeds.with_seeds(**measure_scope.seeds_for(source_names)),
+                    hparams=hparams,
+                    scope_path=measure_scope.path_str(),
                 )
-        else:
-            for _ in range(k):
-                seeds = seeds.randomized(source_names, rng)
-                items.append(WorkItem(seeds=seeds, hparams=hparams))
+            )
         measurements = runner.run(items)
         n_fits += k
         scores = np.array([m.test_score for m in measurements], dtype=float)

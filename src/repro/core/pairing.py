@@ -25,7 +25,7 @@ from repro.core.significance import SignificanceReport, probability_of_outperfor
 from repro.core.sources import sources_for_subset
 from repro.engine.runner import StudyRunner, WorkItem, ensure_runner
 from repro.utils.rng import SeedBundle, SeedScope
-from repro.utils.validation import check_positive_int, check_random_state
+from repro.utils.validation import check_positive_int
 
 __all__ = ["PairedScores", "paired_seed_bundles", "paired_measurements", "compare_pipelines"]
 
@@ -47,9 +47,8 @@ def paired_seed_bundles(
     *,
     randomize: str = "all",
     random_state=None,
-    scope: Optional[SeedScope] = None,
 ) -> list[SeedBundle]:
-    """Draw ``k`` seed bundles to be shared by both algorithms.
+    """Derive ``k`` seed bundles to be shared by both algorithms.
 
     Parameters
     ----------
@@ -60,24 +59,19 @@ def paired_seed_bundles(
         ``"all"``); the remaining sources keep a common fixed seed across
         all pairs.
     random_state:
-        Seed or generator (ignored when ``scope`` is given).
-    scope:
-        Optional :class:`~repro.utils.rng.SeedScope`; when given, pair
-        ``i``'s fresh seeds are derived from the scope path ``pair=<i>``
-        instead of the ``random_state`` stream.
+        An int, a numpy Generator, a :class:`~repro.utils.rng.SeedScope` or
+        ``None``; pair ``i``'s fresh seeds are derived from the scope path
+        ``pair=<i>`` under it.
     """
     k = check_positive_int(k, "k")
+    scope = SeedScope.from_state(random_state)
     # Sorted so the per-source seed assignment is stable across processes.
     names = sorted(s.value for s in sources_for_subset(randomize))
-    if scope is not None:
-        base = scope.bundle()
-        return [
-            base.with_seeds(**scope.child("pair", i).seeds_for(names))
-            for i in range(k)
-        ]
-    rng = check_random_state(random_state)
-    base = SeedBundle.random(rng)
-    return [base.randomized(names, rng) for _ in range(k)]
+    base = scope.bundle()
+    return [
+        base.with_seeds(**scope.child("pair", i).seeds_for(names))
+        for i in range(k)
+    ]
 
 
 def paired_measurements(
@@ -93,7 +87,6 @@ def paired_measurements(
     runner_a: Optional[StudyRunner] = None,
     runner_b: Optional[StudyRunner] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> PairedScores:
     """Measure both processes ``k`` times on shared seed bundles.
 
@@ -105,14 +98,13 @@ def paired_measurements(
     The ``2k`` measurements execute through the measurement engine:
     supply ``runner_a``/``runner_b`` (bound to the respective processes)
     to share executors and caches across comparisons, or just ``n_jobs``
-    for default runners.  The seed bundles are pre-drawn, so the paired
-    scores are identical for any worker count.  With ``scope`` given they
-    are derived from scope paths instead of the ``random_state`` stream.
+    for default runners.  The seed bundles come from
+    :func:`paired_seed_bundles` before anything runs, so the paired scores
+    are identical for any worker count.
     """
-    rng = None if scope is not None else check_random_state(random_state)
+    bundles = paired_seed_bundles(k, randomize=randomize, random_state=random_state)
     runner_a = ensure_runner(runner_a, process_a, n_jobs=n_jobs)
     runner_b = ensure_runner(runner_b, process_b, n_jobs=n_jobs)
-    bundles = paired_seed_bundles(k, randomize=randomize, random_state=rng, scope=scope)
     if hparams_a is None and run_hpo:
         hparams_a = process_a.run_hpo(bundles[0]).best_config
     if hparams_b is None and run_hpo:
@@ -154,7 +146,9 @@ def compare_pipelines(
     randomize:
         Sources randomized between paired runs.
     random_state:
-        Seed or generator.
+        An int, a numpy Generator, a :class:`~repro.utils.rng.SeedScope` or
+        ``None``; the paired runs derive their seeds from the scope path
+        ``pairs`` under it, and the bootstrap test from ``significance``.
     n_jobs:
         Workers for the paired measurements (identical scores for any
         value; the shared seed bundles are pre-drawn).
@@ -167,15 +161,16 @@ def compare_pipelines(
     """
     if k is None:
         k = minimum_sample_size(gamma, alpha=alpha, beta=beta)
-    rng = check_random_state(random_state)
+    scope = SeedScope.from_state(random_state)
+    pairs = scope.child("pairs")
     scores = paired_measurements(
-        process_a, process_b, k, randomize=randomize, random_state=rng, n_jobs=n_jobs
+        process_a, process_b, k, randomize=randomize, random_state=pairs, n_jobs=n_jobs
     )
     report = probability_of_outperforming_test(
         scores.scores_a,
         scores.scores_b,
         gamma=gamma,
         alpha=alpha,
-        random_state=rng,
+        random_state=scope.child("significance").rng(),
     )
     return report, scores

@@ -24,8 +24,8 @@ from repro.core.estimators import FixHOptEstimator, IdealEstimator
 from repro.core.sources import VarianceSource
 from repro.engine.runner import StudyRunner, WorkItem, ensure_runner
 from repro.stats.correlated import MSEDecomposition, mse_decomposition
-from repro.utils.rng import SeedBundle, SeedScope
-from repro.utils.validation import check_positive_int, check_random_state
+from repro.utils.rng import SeedScope
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "VarianceDecomposition",
@@ -201,7 +201,6 @@ def variance_decomposition_study(
     random_state=None,
     runner: Optional[StudyRunner] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> VarianceDecomposition:
     """Measure the variance contributed by each source in isolation.
 
@@ -215,7 +214,8 @@ def variance_decomposition_study(
     All seed bundles are pre-drawn before any fit runs, and the batch is
     executed through a :class:`~repro.engine.runner.StudyRunner`, so the
     scores are bitwise identical for any ``n_jobs`` at a fixed
-    ``random_state``.
+    ``random_state``.  Each source's scores depend only on its scope path
+    (``source=<name>/rep=<i>``), not on which other sources are studied.
 
     Parameters
     ----------
@@ -233,22 +233,17 @@ def variance_decomposition_study(
     include_numerical_noise:
         Also measure the all-seeds-fixed noise floor.
     random_state:
-        Seed or generator for the study (stream-drawn seeds; ignored when
-        ``scope`` is given).
+        An int, a numpy Generator, a :class:`~repro.utils.rng.SeedScope`
+        or ``None``; every seed is derived from a scope path under it.
     runner:
         Measurement engine to execute (and possibly cache) the batch;
         built on demand from ``n_jobs`` when omitted.
     n_jobs:
         Worker count for the on-demand runner (ignored when ``runner`` is
         given).
-    scope:
-        Optional :class:`~repro.utils.rng.SeedScope`; when given, every
-        seed is derived from its scope path (``source=<name>/rep=<i>``)
-        instead of consuming the ``random_state`` stream, making the study
-        independent of what ran before it — the property sharded execution
-        relies on.
     """
     n_seeds = check_positive_int(n_seeds, "n_seeds", minimum=2)
+    scope = SeedScope.from_state(random_state)
     runner = ensure_runner(runner, process, n_jobs=n_jobs)
     if sources is None:
         sources = (
@@ -264,27 +259,18 @@ def variance_decomposition_study(
         # All seeds fixed: only the injected numerical-noise stream differs
         # between runs, mirroring the paper's fixed-seed runs.
         names.append("numerical")
-    if scope is not None:
-        base_seeds = scope.bundle()
-        items = [
-            WorkItem(
-                seeds=base_seeds.with_seeds(
-                    **{name: scope.child("source", name).child("rep", i).seed()}
-                ),
-                hparams=hparams,
-                scope_path=scope.child("source", name).child("rep", i).path_str(),
-            )
-            for name in names
-            for i in range(n_seeds)
-        ]
-    else:
-        rng = check_random_state(random_state)
-        base_seeds = SeedBundle.random(rng)
-        items = [
-            WorkItem(seeds=base_seeds.randomized([name], rng), hparams=hparams)
-            for name in names
-            for _ in range(n_seeds)
-        ]
+    base_seeds = scope.bundle()
+    items = [
+        WorkItem(
+            seeds=base_seeds.with_seeds(
+                **{name: scope.child("source", name).child("rep", i).seed()}
+            ),
+            hparams=hparams,
+            scope_path=scope.child("source", name).child("rep", i).path_str(),
+        )
+        for name in names
+        for i in range(n_seeds)
+    ]
     all_scores = runner.run_scores(items)
     for position, name in enumerate(names):
         scores = all_scores[position * n_seeds : (position + 1) * n_seeds]
@@ -301,7 +287,6 @@ def hpo_variance_study(
     random_state=None,
     runner: Optional[StudyRunner] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> Dict[str, np.ndarray]:
     """Variance induced by the hyperparameter-optimization procedure.
 
@@ -309,8 +294,9 @@ def hpo_variance_study(
     across ``n_repetitions`` independent HOpt runs per algorithm (Section
     2.2).  The returned scores are the test performances obtained with each
     run's selected hyperparameters.  Per algorithm, the repetitions are
-    independent: their seed bundles are pre-drawn and the batch runs
-    through the measurement engine (``n_jobs`` workers).
+    independent: the HOpt seed of each is derived from the scope path
+    ``algorithm=<name>/rep=<i>`` and the batch runs through the
+    measurement engine (``n_jobs`` workers).
 
     Parameters
     ----------
@@ -323,27 +309,18 @@ def hpo_variance_study(
     n_repetitions:
         Number of independent HOpt runs per algorithm.
     random_state:
-        Seed or generator (stream-drawn seeds; ignored when ``scope`` is
-        given).
+        An int, a numpy Generator, a :class:`~repro.utils.rng.SeedScope`
+        or ``None``; every seed is derived from a scope path under it.
     runner:
         Measurement engine used to execute each algorithm's batch; built
         on demand from ``n_jobs`` when omitted.
     n_jobs:
         Worker count for the on-demand runner.
-    scope:
-        Optional :class:`~repro.utils.rng.SeedScope`; when given, the HOpt
-        seed of each repetition is derived from the scope path
-        ``algorithm=<name>/rep=<i>`` instead of the ``random_state``
-        stream, so the study's seeds are independent of iteration order.
     """
     n_repetitions = check_positive_int(n_repetitions, "n_repetitions", minimum=2)
+    scope = SeedScope.from_state(random_state)
     runner = ensure_runner(runner, process, n_jobs=n_jobs)
-    if scope is not None:
-        base_seeds = scope.bundle()
-        rng = None
-    else:
-        rng = check_random_state(random_state)
-        base_seeds = SeedBundle.random(rng)
+    base_seeds = scope.bundle()
     results: Dict[str, np.ndarray] = {}
     original_algorithm = process.hpo_algorithm
     try:
@@ -351,26 +328,18 @@ def hpo_variance_study(
             process.hpo_algorithm = algorithm
             # Batches must stay per-algorithm: the process is mutated above,
             # so each batch is submitted (and finishes) before switching.
-            if scope is not None:
-                items = [
-                    WorkItem(
-                        seeds=base_seeds.with_seeds(
-                            hopt=scope.child("algorithm", name)
-                            .child("rep", i)
-                            .seed()
-                        ),
-                        with_hpo=True,
-                        scope_path=scope.child("algorithm", name)
-                        .child("rep", i)
-                        .path_str(),
-                    )
-                    for i in range(n_repetitions)
-                ]
-            else:
-                items = [
-                    WorkItem(seeds=base_seeds.randomized(["hopt"], rng), with_hpo=True)
-                    for _ in range(n_repetitions)
-                ]
+            items = [
+                WorkItem(
+                    seeds=base_seeds.with_seeds(
+                        hopt=scope.child("algorithm", name).child("rep", i).seed()
+                    ),
+                    with_hpo=True,
+                    scope_path=scope.child("algorithm", name)
+                    .child("rep", i)
+                    .path_str(),
+                )
+                for i in range(n_repetitions)
+            ]
             results[name] = runner.run_scores(items)
     finally:
         process.hpo_algorithm = original_algorithm
@@ -479,75 +448,43 @@ class EstimatorQualityStudy:
         random_state=None,
         runner: Optional[StudyRunner] = None,
         n_jobs: int = 1,
-        scope: Optional[SeedScope] = None,
     ) -> Dict[str, EstimatorQualityResult]:
         """Run the study and return one result per estimator variant.
 
         ``runner`` (or the ``n_jobs`` shortcut) is forwarded to every
         estimator so each realization's ``k_max`` measurements fan out
-        through the measurement engine.  With ``scope`` given, every
-        realization derives its seeds from the scope path
-        (``ideal|fixhopt=<subset>/rep=<r>``) instead of the shared
-        ``random_state`` stream.
+        through the measurement engine.  ``random_state`` is an int, a
+        numpy Generator, a :class:`~repro.utils.rng.SeedScope` or ``None``;
+        every realization derives its seeds from the scope path
+        (``ideal|fixhopt=<subset>/rep=<r>``) under it.
         """
+        scope = SeedScope.from_state(random_state)
         runner = ensure_runner(runner, process, n_jobs=n_jobs)
-        if scope is not None:
-            rng = None
-            ideal_scopes = [
-                scope.child("ideal").child("rep", r)
-                for r in range(self.n_repetitions)
-            ]
-            ideal = IdealEstimator().estimate(
-                process, self.k_max, scope=ideal_scopes[0], runner=runner
-            )
-        else:
-            rng = check_random_state(random_state)
-            ideal_scopes = None
-            ideal = IdealEstimator().estimate(
-                process, self.k_max, random_state=rng, runner=runner
-            )
-        reference_mean = ideal.mean
-        results: Dict[str, EstimatorQualityResult] = {}
-        # The ideal estimator's measurements are i.i.d.; independent "rows"
-        # are obtained by collecting separate batches.
-        ideal_matrix = [ideal.scores]
-        for r in range(1, self.n_repetitions):
-            ideal_matrix.append(
-                IdealEstimator()
-                .estimate(
-                    process,
-                    self.k_max,
-                    random_state=rng,
-                    scope=None if ideal_scopes is None else ideal_scopes[r],
-                    runner=runner,
-                )
-                .scores
-            )
-        results["IdealEst"] = EstimatorQualityResult(
-            name="IdealEst",
-            score_matrix=np.vstack(ideal_matrix),
-            reference_mean=reference_mean,
-        )
-        for subset in self.subsets:
-            rows = []
-            for r in range(self.n_repetitions):
-                estimator = FixHOptEstimator(randomize=subset)
-                rows.append(
-                    estimator.estimate(
+
+        def score_matrix(make_estimator, *path) -> np.ndarray:
+            return np.vstack(
+                [
+                    make_estimator()
+                    .estimate(
                         process,
                         self.k_max,
-                        random_state=rng,
-                        scope=(
-                            None
-                            if scope is None
-                            else scope.child("fixhopt", subset).child("rep", r)
-                        ),
+                        random_state=scope.child(*path).child("rep", r),
                         runner=runner,
-                    ).scores
-                )
-            results[f"FixHOptEst({subset})"] = EstimatorQualityResult(
-                name=f"FixHOptEst({subset})",
-                score_matrix=np.vstack(rows),
-                reference_mean=reference_mean,
+                    )
+                    .scores
+                    for r in range(self.n_repetitions)
+                ]
             )
-        return results
+
+        # The ideal estimator's measurements are i.i.d.; independent "rows"
+        # are obtained by collecting separate batches.
+        matrices = {"IdealEst": score_matrix(IdealEstimator, "ideal")}
+        for subset in self.subsets:
+            matrices[f"FixHOptEst({subset})"] = score_matrix(
+                lambda: FixHOptEstimator(subset), "fixhopt", subset
+            )
+        reference_mean = float(np.mean(matrices["IdealEst"][0]))
+        return {
+            name: EstimatorQualityResult(name, matrix, reference_mean)
+            for name, matrix in matrices.items()
+        }

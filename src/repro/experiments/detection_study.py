@@ -200,7 +200,9 @@ def run_detection_study(
                     k=effective_k,
                     estimator=estimator,
                     n_simulations=n_simulations,
-                    scope=scope.child("estimator", estimator).child("method", name),
+                    random_state=(
+                        scope.child("estimator", estimator).child("method", name)
+                    ),
                     executor=executor,
                 )
             )
@@ -302,7 +304,7 @@ def run_robustness_study(
         sample_sizes=sample_sizes,
         p_a_gt_b=p_a_gt_b,
         n_simulations=n_simulations,
-        scope=scope.child("sweep", "sample_size"),
+        random_state=scope.child("sweep", "sample_size"),
         executor=executor,
     )
     result.by_threshold["probability_of_outperforming"] = robustness_to_threshold(
@@ -312,7 +314,7 @@ def run_robustness_study(
         p_a_gt_b=p_a_gt_b,
         k=k,
         n_simulations=n_simulations,
-        scope=scope.child("sweep", "threshold_prob"),
+        random_state=scope.child("sweep", "threshold_prob"),
         executor=executor,
     )
     result.by_threshold["average"] = robustness_to_threshold(
@@ -324,7 +326,7 @@ def run_robustness_study(
         p_a_gt_b=p_a_gt_b,
         k=k,
         n_simulations=n_simulations,
-        scope=scope.child("sweep", "threshold_avg"),
+        random_state=scope.child("sweep", "threshold_avg"),
         executor=executor,
     )
     return result

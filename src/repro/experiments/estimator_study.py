@@ -193,6 +193,6 @@ def run_estimator_study(
         )
         study = EstimatorQualityStudy(n_repetitions=n_repetitions, k_max=k_max)
         result.quality[task_name] = study.run(
-            process, scope=task_scope.child("quality"), runner=runner
+            process, random_state=task_scope.child("quality"), runner=runner
         )
     return result

@@ -156,7 +156,7 @@ def run_mhc_model_comparison(
         hparams_a=ensemble.default_hparams(),
         hparams_b=single.default_hparams(),
         run_hpo=False,
-        scope=scope.child("pairs"),
+        random_state=scope.child("pairs"),
         runner_a=StudyRunner(
             process_ensemble, executor=executor, n_jobs=n_jobs, backend=backend, cache=cache
         ),

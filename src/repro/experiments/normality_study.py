@@ -164,7 +164,7 @@ def run_normality_study(
             estimate = estimator.estimate(
                 process,
                 n_seeds,
-                scope=task_scope.child("altogether"),
+                random_state=task_scope.child("altogether"),
                 hparams=process.pipeline.default_hparams(),
                 runner=runner,
             )

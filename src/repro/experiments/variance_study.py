@@ -154,7 +154,10 @@ def run_variance_study(
             process, executor=executor, n_jobs=n_jobs, backend=backend, cache=cache
         )
         result.decompositions[task_name] = variance_decomposition_study(
-            process, n_seeds=n_seeds, scope=task_scope.child("variance"), runner=runner
+            process,
+            n_seeds=n_seeds,
+            random_state=task_scope.child("variance"),
+            runner=runner,
         )
         if include_hpo:
             algorithms = {
@@ -166,7 +169,7 @@ def run_variance_study(
                 process,
                 algorithms,
                 n_repetitions=n_hpo_repetitions,
-                scope=task_scope.child("hpo"),
+                random_state=task_scope.child("hpo"),
                 runner=runner,
             )
             result.hpo_scores[task_name] = scores

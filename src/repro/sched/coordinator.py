@@ -535,10 +535,7 @@ class Coordinator:
             cache=self.session.cache.stats(),
         )
         if records_dir is not None:
-            atomic_write(
-                os.path.join(records_dir, "manifest.json"),
-                suite_result.to_json(indent=2).encode("utf-8"),
-            )
+            self.session._write_suite_manifest(records_dir, suite_result)
         # The queue is spent scratch state now — every result lives in the
         # completion records above.  Destroying it keeps the GC-exempt
         # queue namespace from accumulating (one raw pickle per task adds

@@ -9,9 +9,11 @@ false-positive rate; where :math:`H_1` is true it is the statistical power
 (1 - false-negative rate).
 
 Simulations are independent, so they run through the measurement engine's
-:class:`~repro.engine.executor.ParallelExecutor`: a per-simulation seed is
-pre-drawn from the study generator, which makes the detection rate at a
-fixed ``random_state`` bitwise identical for any ``n_jobs``.
+:class:`~repro.engine.executor.ParallelExecutor`: each simulation's seed is
+derived from its scope path under ``random_state`` before any runs, which
+makes the detection rate at a fixed ``random_state`` bitwise identical for
+any ``n_jobs``.  Every function here takes ``random_state`` as an int, a
+numpy Generator, a :class:`~repro.utils.rng.SeedScope` or ``None``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from repro.simulation.performance_model import (
     simulate_biased_measurements,
     simulate_ideal_measurements,
 )
-from repro.utils.rng import MAX_SEED, SeedScope
-from repro.utils.validation import check_positive_int, check_random_state
+from repro.utils.rng import SeedScope
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "DetectionRateResult",
@@ -114,29 +116,25 @@ def detection_rate(
     random_state=None,
     executor: Optional[ParallelExecutor] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> float:
     """Rate at which ``method`` declares A better, at one true P(A>B).
 
-    One seed per simulation is pre-drawn from ``random_state`` (or, when
-    ``scope`` is given, derived from the scope path ``sim=<i>`` — making
-    the rate independent of what ran before); the simulations then fan
-    out over ``executor`` (or a fresh :class:`ParallelExecutor` with
-    ``n_jobs`` workers), so the rate does not depend on the worker count.
+    Simulation ``i`` is seeded from the scope path ``sim=<i>`` under
+    ``random_state``, so the rate does not depend on what ran before; the
+    simulations then fan out over ``executor`` (or a fresh
+    :class:`ParallelExecutor` with ``n_jobs`` workers), so it does not
+    depend on the worker count either.
     """
     n_simulations = check_positive_int(n_simulations, "n_simulations")
     if estimator not in ("ideal", "biased"):
         raise ValueError("estimator must be 'ideal' or 'biased'")
+    scope = SeedScope.from_state(random_state)
     if executor is None:
         executor = ParallelExecutor(n_jobs)
     mean_shift = mean_shift_for_probability(p_a_gt_b, task.sigma)
-    if scope is not None:
-        seeds = [scope.child("sim", i).seed() for i in range(n_simulations)]
-    else:
-        rng = check_random_state(random_state)
-        seeds = rng.integers(0, MAX_SEED, size=n_simulations)
     args = [
-        (method, task, k, mean_shift, estimator, int(seed)) for seed in seeds
+        (method, task, k, mean_shift, estimator, scope.child("sim", i).seed())
+        for i in range(n_simulations)
     ]
     detections = sum(executor.map(_run_one_simulation, args))
     return detections / n_simulations
@@ -153,15 +151,14 @@ def detection_rate_curve(
     random_state=None,
     executor: Optional[ParallelExecutor] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> DetectionRateResult:
     """Sweep the true P(A>B) and record the detection rate (Figure 6).
 
-    With ``scope`` given, each swept probability gets the sub-scope
-    ``p=<value>`` so its simulations are addressed independently of the
-    sweep order.
+    Each swept probability gets the sub-scope ``p=<value>`` under
+    ``random_state``, so its simulations are addressed independently of
+    the sweep order.
     """
-    rng = None if scope is not None else check_random_state(random_state)
+    scope = SeedScope.from_state(random_state)
     if executor is None:
         executor = ParallelExecutor(n_jobs)
     probabilities = np.asarray(list(probabilities), dtype=float)
@@ -174,9 +171,8 @@ def detection_rate_curve(
                 k=k,
                 estimator=estimator,
                 n_simulations=n_simulations,
-                random_state=rng,
+                random_state=scope.child("p", repr(float(p))),
                 executor=executor,
-                scope=None if scope is None else scope.child("p", repr(float(p))),
             )
             for p in probabilities
         ]
@@ -200,15 +196,14 @@ def robustness_to_sample_size(
     random_state=None,
     executor: Optional[ParallelExecutor] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> Dict[str, np.ndarray]:
     """Detection rate versus sample size at a fixed true P(A>B) (Figure I.6, top).
 
     Returns a mapping from method name to the detection rates at each
-    sample size.  With ``scope`` given, each cell is addressed by the
-    sub-scope ``method=<name>/k=<size>``.
+    sample size.  Each cell is addressed by the sub-scope
+    ``method=<name>/k=<size>`` under ``random_state``.
     """
-    rng = None if scope is not None else check_random_state(random_state)
+    scope = SeedScope.from_state(random_state)
     if executor is None:
         executor = ParallelExecutor(n_jobs)
     results: Dict[str, np.ndarray] = {}
@@ -223,13 +218,8 @@ def robustness_to_sample_size(
                     k=int(k),
                     estimator=estimator,
                     n_simulations=n_simulations,
-                    random_state=rng,
+                    random_state=scope.child("method", name).child("k", int(k)),
                     executor=executor,
-                    scope=(
-                        None
-                        if scope is None
-                        else scope.child("method", name).child("k", int(k))
-                    ),
                 )
             )
         results[name] = np.array(rates)
@@ -248,7 +238,6 @@ def robustness_to_threshold(
     random_state=None,
     executor: Optional[ParallelExecutor] = None,
     n_jobs: int = 1,
-    scope: Optional[SeedScope] = None,
 ) -> Dict[float, float]:
     """Detection rate versus decision threshold γ (Figure I.6, bottom).
 
@@ -259,10 +248,10 @@ def robustness_to_threshold(
         given threshold (for the average comparison the threshold is
         converted to an equivalent δ by the caller).
 
-    With ``scope`` given, each threshold is addressed by the sub-scope
-    ``gamma=<value>``.
+    Each threshold is addressed by the sub-scope ``gamma=<value>`` under
+    ``random_state``.
     """
-    rng = None if scope is not None else check_random_state(random_state)
+    scope = SeedScope.from_state(random_state)
     if executor is None:
         executor = ParallelExecutor(n_jobs)
     results: Dict[float, float] = {}
@@ -275,10 +264,7 @@ def robustness_to_threshold(
             k=k,
             estimator=estimator,
             n_simulations=n_simulations,
-            random_state=rng,
+            random_state=scope.child("gamma", repr(float(gamma))),
             executor=executor,
-            scope=(
-                None if scope is None else scope.child("gamma", repr(float(gamma)))
-            ),
         )
     return results

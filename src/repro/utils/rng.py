@@ -193,9 +193,11 @@ class SeedScope:
         """Build a root scope from any ``random_state``-style value.
 
         An existing :class:`SeedScope` passes through unchanged (so drivers
-        can hand their scope to sub-studies); an int becomes the root seed;
-        a :class:`numpy.random.Generator` contributes one draw; ``None``
-        uses fresh OS entropy.
+        can hand their scope to sub-studies); an int in ``[0, MAX_SEED)``
+        becomes the root seed; a :class:`numpy.random.Generator` contributes
+        one draw; ``None`` uses fresh OS entropy.  A bool, float or string
+        raises ``TypeError``, and an int outside ``[0, MAX_SEED)`` raises
+        ``ValueError`` rather than aliasing another seed.
         """
         if isinstance(random_state, SeedScope):
             return random_state
@@ -204,7 +206,18 @@ class SeedScope:
         if isinstance(random_state, (np.random.Generator, np.random.RandomState)):
             rng = check_random_state(random_state)
             return cls(int(rng.integers(0, MAX_SEED)))
-        return cls(int(random_state) % MAX_SEED)
+        if isinstance(random_state, bool) or not isinstance(
+            random_state, (int, np.integer)
+        ):
+            raise TypeError(
+                f"random_state must be an int, a numpy Generator, a SeedScope "
+                f"or None, got {type(random_state).__name__}: {random_state!r}"
+            )
+        if not 0 <= random_state < MAX_SEED:
+            raise ValueError(
+                f"random_state must be in [0, {MAX_SEED}), got {random_state!r}"
+            )
+        return cls(int(random_state))
 
     def child(self, kind: object, name: object = None) -> "SeedScope":
         """Return the sub-scope addressed by one more path segment."""

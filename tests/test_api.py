@@ -90,6 +90,14 @@ class TestStudySpec:
         with pytest.raises(TypeError):
             StudySpec(study="variance", random_state=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("seed", [-1, 2**32 - 1, 2**40])
+    def test_out_of_range_random_state_rejected(self, seed):
+        """Such a seed once ran, aliasing another seed's rows."""
+        with pytest.raises(ValueError, match=f"got {seed}"):
+            StudySpec(study="detection", random_state=seed)
+        with pytest.raises(ValueError, match="random_state"):
+            StudySpec.from_dict({"study": "detection", "random_state": seed})
+
     def test_unknown_field_rejected_in_from_dict(self):
         with pytest.raises(ValueError, match="unknown StudySpec fields"):
             StudySpec.from_dict({"study": "variance", "jobs": 2})

@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.benchmark import BenchmarkProcess
+from repro.core.comparison import AverageComparison
+from repro.core.estimators import FixHOptEstimator, IdealEstimator
+from repro.core.pairing import (
+    compare_pipelines,
+    paired_measurements,
+    paired_seed_bundles,
+)
 from repro.core.variance import (
     EstimatorQualityStudy,
     VarianceDecomposition,
@@ -12,6 +20,14 @@ from repro.core.variance import (
 )
 from repro.core.sources import VarianceSource
 from repro.hpo.random_search import RandomSearch
+from repro.simulation.detection import (
+    detection_rate,
+    detection_rate_curve,
+    robustness_to_sample_size,
+    robustness_to_threshold,
+)
+from repro.simulation.performance_model import SimulatedTask
+from repro.utils.rng import SeedScope
 
 
 class TestVarianceDecompositionStudy:
@@ -54,6 +70,25 @@ class TestVarianceDecompositionStudy:
         )
         rows = decomposition.as_rows()
         assert all("relative_to_data" in row for row in rows)
+
+    def test_source_scores_do_not_depend_on_other_sources(self, hard_process):
+        """A direct call seeds each source from its own scope path, so
+        studying ``data`` as well leaves the ``init`` scores unchanged."""
+        both = variance_decomposition_study(
+            hard_process,
+            sources=(VarianceSource.DATA, VarianceSource.INIT),
+            n_seeds=4,
+            include_numerical_noise=False,
+            random_state=0,
+        )
+        alone = variance_decomposition_study(
+            hard_process,
+            sources=(VarianceSource.INIT,),
+            n_seeds=4,
+            include_numerical_noise=False,
+            random_state=0,
+        )
+        np.testing.assert_array_equal(both.scores["init"], alone.scores["init"])
 
 
 class TestHpoVarianceStudy:
@@ -131,3 +166,86 @@ class TestEstimatorQualityStudy:
         results = study.run(hard_process, random_state=0)
         decomposition = results["FixHOptEst(init)"].mse()
         assert np.isfinite(decomposition.mse)
+
+
+# ----------------------------------------------------------------------
+# One seeding path: every seeded entry point derives through SeedScope
+# ----------------------------------------------------------------------
+_TOY_TASK = SimulatedTask(
+    name="toy", mean=0.7, sigma=0.02, biased_bias_std=0.01, biased_measurement_std=0.018
+)
+
+#: Each seeded entry point at a tiny size, as ``(process_a, process_b,
+#: random_state) -> comparable result``.
+SEEDED_ENTRY_POINTS = {
+    "variance_decomposition_study": lambda a, b, seed: variance_decomposition_study(
+        a, sources=(VarianceSource.INIT,), n_seeds=2, random_state=seed
+    ).scores,
+    "hpo_variance_study": lambda a, b, seed: hpo_variance_study(
+        a, {"random_search": RandomSearch()}, n_repetitions=2, random_state=seed
+    ),
+    "EstimatorQualityStudy.run": lambda a, b, seed: {
+        name: result.score_matrix
+        for name, result in EstimatorQualityStudy(
+            subsets=("init",), n_repetitions=2, k_max=2
+        )
+        .run(a, random_state=seed)
+        .items()
+    },
+    "IdealEstimator.estimate": lambda a, b, seed: IdealEstimator()
+    .estimate(a, 2, random_state=seed)
+    .scores,
+    "FixHOptEstimator.estimate": lambda a, b, seed: FixHOptEstimator("data")
+    .estimate(a, 2, random_state=seed)
+    .scores,
+    "paired_seed_bundles": lambda a, b, seed: paired_seed_bundles(
+        3, random_state=seed
+    ),
+    "paired_measurements": lambda a, b, seed: paired_measurements(
+        a, b, 2, random_state=seed
+    ).differences(),
+    "compare_pipelines": lambda a, b, seed: compare_pipelines(
+        a, b, k=3, random_state=seed
+    )[0],
+    "detection_rate": lambda a, b, seed: detection_rate(
+        AverageComparison(), _TOY_TASK, 0.7, k=5, n_simulations=4, random_state=seed
+    ),
+    "detection_rate_curve": lambda a, b, seed: detection_rate_curve(
+        AverageComparison(),
+        _TOY_TASK,
+        (0.5, 0.8),
+        k=5,
+        n_simulations=4,
+        random_state=seed,
+    ).rates,
+    "robustness_to_sample_size": lambda a, b, seed: robustness_to_sample_size(
+        {"average": AverageComparison()},
+        _TOY_TASK,
+        sample_sizes=(3, 5),
+        n_simulations=4,
+        random_state=seed,
+    ),
+    "robustness_to_threshold": lambda a, b, seed: robustness_to_threshold(
+        lambda gamma: AverageComparison(delta=gamma / 100),
+        _TOY_TASK,
+        thresholds=(0.6, 0.9),
+        k=5,
+        n_simulations=4,
+        random_state=seed,
+    ),
+}
+
+
+class TestOneSeedingPath:
+    @pytest.mark.parametrize("entry_point", sorted(SEEDED_ENTRY_POINTS))
+    def test_int_seed_is_its_root_scope(
+        self, entry_point, hard_process, hard_dataset, linear_classifier
+    ):
+        """An int seed and the root scope it names give the same result:
+        direct calls and the drivers share one derivation."""
+        other = BenchmarkProcess(hard_dataset, linear_classifier, hpo_budget=3)
+        call = SEEDED_ENTRY_POINTS[entry_point]
+        np.testing.assert_equal(
+            call(hard_process, other, SeedScope.from_state(3)),
+            call(hard_process, other, 3),
+        )

@@ -282,3 +282,37 @@ class TestCrossPathParity:
 
         assert from_run == from_suite
         assert from_suite == from_queue
+
+    def test_suite_index_byte_identical_from_run_suite_and_submit_suite(
+        self, tmp_path
+    ):
+        """Every executor writes the suite manifest, so the index lists
+        members in declaration order (``zeta`` first) either way."""
+
+        def suite(cache_dir):
+            spec = StudySpec(
+                study="sample_size", params={"gammas": [0.7]}, random_state=3
+            )
+            return SuiteSpec(
+                name="order-suite",
+                specs=[("zeta", spec), ("alpha", spec.with_params(gammas=[0.75]))],
+                cache_dir=str(cache_dir),
+            )
+
+        run_dir, submit_dir = tmp_path / "run", tmp_path / "submit"
+        with Session.for_suite(suite(run_dir)) as session:
+            session.run_suite(suite(run_dir))
+        with Session.for_suite(suite(submit_dir)) as session:
+            session.submit_suite(suite(submit_dir)).result()
+        indexes = {}
+        for cache_dir in (run_dir, submit_dir):
+            payload, paths = write_suite_reports(str(cache_dir), "order-suite")
+            names = [member["name"] for member in payload["members"]]
+            assert names == ["zeta", "alpha"]
+            indexes[cache_dir] = {
+                os.path.basename(path): open(path, "rb").read()
+                for path in paths
+                if os.path.basename(path).startswith("index.")
+            }
+        assert sorted(indexes[run_dir]) == ["index.json", "index.md"]
+        assert indexes[run_dir] == indexes[submit_dir]

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pairing import paired_seed_bundles
 from repro.utils.rng import (
     KNOWN_SOURCES,
+    MAX_SEED,
     SeedBundle,
     SeedScope,
     SeedSequencePool,
@@ -141,6 +143,28 @@ class TestSeedScope:
         gen_scope = SeedScope.from_state(np.random.default_rng(3))
         assert gen_scope == SeedScope.from_state(np.random.default_rng(3))
         assert isinstance(SeedScope.from_state(None), SeedScope)
+
+    @pytest.mark.parametrize("value", [1.5, "7", True])
+    def test_from_state_rejects_non_integer_seeds(self, value):
+        with pytest.raises(TypeError, match="random_state must be an int"):
+            SeedScope.from_state(value)
+
+    @pytest.mark.parametrize("value", [-1, MAX_SEED, 2**40])
+    def test_from_state_rejects_out_of_range_seeds(self, value):
+        """Out-of-range seeds raise instead of folding onto another seed."""
+        with pytest.raises(ValueError, match=f"got {value}"):
+            SeedScope.from_state(value)
+
+    def test_from_state_takes_in_range_numpy_integers(self):
+        assert SeedScope.from_state(np.int64(3)) == SeedScope.from_state(3)
+        assert SeedScope.from_state(np.uint32(MAX_SEED - 1)).root_seed == MAX_SEED - 1
+        with pytest.raises(ValueError):
+            SeedScope.from_state(np.uint32(MAX_SEED))
+
+    def test_entry_points_reject_aliasing_seeds(self):
+        """``2**32 - 1`` once returned exactly the bundles of seed 0."""
+        with pytest.raises(ValueError):
+            paired_seed_bundles(2, random_state=2**32 - 1)
 
     def test_bundle_is_scope_derived(self):
         scope = SeedScope.from_state(5).child("task", "t")
