@@ -64,6 +64,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -89,7 +90,8 @@ __all__ = ["Session", "StudyHandle", "SuiteHandle"]
 #: Signature of the optional per-spec progress callback of
 #: :meth:`Session.run_suite`: ``(event, name, index, total, result)`` with
 #: ``event`` one of ``"start"`` / ``"done"`` / ``"replay"`` (``result`` is
-#: ``None`` for ``"start"``).
+#: ``None`` for ``"start"``).  Replays are reported in schedule order on
+#: every path; the distributed coordinator reports them first (``0..k-1``).
 SuiteProgress = Callable[[str, str, int, int, Optional[StudyResult]], None]
 
 #: Signature of the optional per-shard progress callback of
@@ -333,17 +335,17 @@ class SuiteHandle:
             finished = self._finished
         if finished is None:  # pragma: no cover - all results resolved above
             finished = time.perf_counter()
-        suite_result = SuiteResult(
-            self.suite,
-            results,
-            elapsed_seconds=finished - self._started,
-            cache=None if self._session is None else self._session.cache.stats(),
+        elapsed = finished - self._started
+        if self._session is None:
+            return SuiteResult(self.suite, results, elapsed_seconds=elapsed)
+        records_dir = (
+            None
+            if self.cancelled()
+            else self._session._suite_records_dir(self.suite)
         )
-        if self._session is not None and not self.cancelled():
-            records_dir = self._session._suite_records_dir(self.suite)
-            if records_dir is not None:
-                self._session._write_suite_manifest(records_dir, suite_result)
-        return suite_result
+        return self._session._finish_suite(
+            self.suite, records_dir, results, elapsed
+        )
 
     def partial_results(self) -> Iterator[Tuple[str, StudyResult]]:
         """Yield ``(name, result)`` as members complete (streaming order).
@@ -834,16 +836,10 @@ class Session:
                 f"{ignored} only apply to the distributed scheduler; pass "
                 f"distributed=True"
             )
-        suite.validate()
-        records_dir = self._suite_records_dir(suite)
-        if resume and records_dir is None:
-            raise ValueError(
-                "resume replays completion records from the per-key store "
-                "and therefore requires a cache_dir"
-            )
+        start = time.perf_counter()
+        records_dir, replayed = self._replay_suite(suite, resume)
         results: "Dict[str, StudyResult]" = {}
         total = len(suite)
-        start = time.perf_counter()
         # The same deterministic root the distributed path uses, so
         # ``repro trace --suite`` renders one coherent tree either way.
         with trace.span(
@@ -854,43 +850,19 @@ class Session:
             members=total,
         ):
             for index, name in enumerate(suite.schedule_order()):
-                spec = suite[name]
-                if resume:
-                    replayed = self._load_suite_result(records_dir, name, spec)
-                    if replayed is not None:
-                        results[name] = replayed
-                        # Replays never touch the object store; the span
-                        # records that the member was served from records.
-                        with trace.span(
-                            f"replay/{name}",
-                            suite=suite.name,
-                            member=name,
-                            cached=True,
-                        ):
-                            pass
-                        if progress is not None:
-                            progress("replay", name, index, total, replayed)
-                        continue
+                if name in replayed:
+                    results[name] = replayed[name]
+                    if progress is not None:
+                        progress("replay", name, index, total, results[name])
+                    continue
                 if progress is not None:
                     progress("start", name, index, total, None)
-                with trace.span(
-                    f"member/{name}", suite=suite.name, member=name
-                ):
-                    result = self._execute(spec)
-                if records_dir is not None:
-                    self._write_suite_record(records_dir, name, result)
-                results[name] = result
+                results[name] = self._run_suite_member(suite, name, records_dir)
                 if progress is not None:
-                    progress("done", name, index, total, result)
-        suite_result = SuiteResult(
-            suite,
-            results,
-            elapsed_seconds=time.perf_counter() - start,
-            cache=self.cache.stats(),
+                    progress("done", name, index, total, results[name])
+        return self._finish_suite(
+            suite, records_dir, results, time.perf_counter() - start
         )
-        if records_dir is not None:
-            self._write_suite_manifest(records_dir, suite_result)
-        return suite_result
 
     def submit_suite(
         self, suite: SuiteSpec, *, resume: bool = False
@@ -906,40 +878,26 @@ class Session:
         ``depends_on`` edges blocks until every dependency's future has
         resolved — topological submission order guarantees the
         dependencies are already on (or through) the pool, so waiting can
-        never deadlock.  Resume semantics match :meth:`run_suite`;
-        replayed members resolve immediately.
+        never deadlock.  Resume semantics, completion records and trace
+        spans match :meth:`run_suite`; replayed members resolve
+        immediately.
         """
-        suite.validate()
-        records_dir = self._suite_records_dir(suite)
-        if resume and records_dir is None:
-            raise ValueError(
-                "resume replays completion records from the per-key store "
-                "and therefore requires a cache_dir"
-            )
+        records_dir, replayed = self._replay_suite(suite, resume)
         pool = self._submit_pool()
         cancel_event = threading.Event()
         futures: "Dict[str, Future[StudyResult]]" = {}
         for name in suite.schedule_order():
-            spec = suite[name]
-            if resume:
-                replayed_result = self._load_suite_result(
-                    records_dir, name, spec
-                )
-                if replayed_result is not None:
-                    replayed: "Future[StudyResult]" = Future()
-                    replayed.set_result(replayed_result)
-                    futures[name] = replayed
-                    continue
-            dependencies = [
-                futures[dep] for dep in suite.depends_on.get(name, ())
-            ]
+            if name in replayed:
+                futures[name] = Future()
+                futures[name].set_result(replayed[name])
+                continue
             futures[name] = pool.submit(
                 self._run_suite_member,
-                spec,
+                suite,
                 name,
                 records_dir,
                 cancel_event,
-                dependencies,
+                [futures[dep] for dep in suite.depends_on.get(name, ())],
             )
         return SuiteHandle(
             suite,
@@ -950,18 +908,27 @@ class Session:
 
     def _run_suite_member(
         self,
-        spec: StudySpec,
+        suite: SuiteSpec,
         name: str,
         records_dir: Optional[str],
-        cancel_event: threading.Event,
-        dependencies: Optional[List["Future[StudyResult]"]] = None,
+        cancel_event: Optional[threading.Event] = None,
+        dependencies: "Iterable[Future[StudyResult]]" = (),
     ) -> StudyResult:
+        """Run one member under a ``member/<name>`` span in the suite's
+        trace, then write its completion record (with a records_dir)."""
         # Dependencies were submitted (topologically) before this member,
         # so they are already running or queued ahead of us on the FIFO
         # pool — blocking here cannot starve them of a worker.
-        for dependency in dependencies or ():
+        for dependency in dependencies:
             dependency.result()
-        with trace.span(f"member/{name}", member=name, study=spec.study):
+        spec = suite[name]
+        with trace.span(
+            f"member/{name}",
+            parent=suite_trace_context(suite.name),
+            suite=suite.name,
+            member=name,
+            study=spec.study,
+        ):
             result = self._execute(spec, cancel_event)
         if records_dir is not None:
             self._write_suite_record(records_dir, name, result)
@@ -973,39 +940,63 @@ class Session:
             return None
         return os.path.join(self.cache.namespace("suites"), suite.name)
 
+    def _replay_suite(
+        self, suite: SuiteSpec, resume: bool
+    ) -> Tuple[Optional[str], "Dict[str, StudyResult]"]:
+        """Validate ``suite``; return its records directory (``None``
+        without a cache_dir) and, with ``resume``, the members whose record
+        matches their spec, in schedule order.  Each replay records an
+        instant ``replay/<name>`` span under the suite's trace root."""
+        suite.validate()
+        records_dir = self._suite_records_dir(suite)
+        replayed: "Dict[str, StudyResult]" = {}
+        if not resume:
+            return records_dir, replayed
+        if records_dir is None:
+            raise ValueError(
+                "resume replays completion records from the per-key store "
+                "and therefore requires a cache_dir"
+            )
+        context = suite_trace_context(suite.name)
+        for name in suite.schedule_order():
+            result = self._load_suite_result(records_dir, name, suite[name])
+            if result is None:
+                continue
+            replayed[name] = result
+            with trace.span(
+                f"replay/{name}",
+                parent=context,
+                suite=suite.name,
+                member=name,
+                cached=True,
+            ):
+                pass
+        return records_dir, replayed
+
     @staticmethod
-    def _load_suite_record(
+    def _load_suite_result(
         records_dir: str, name: str, spec: StudySpec
-    ) -> Optional[Dict[str, Any]]:
-        """Read one member's completion record, or ``None`` when the member
-        must (re-)run: no record, unreadable record, or a record written
-        for a different version of the spec."""
+    ) -> Optional[StudyResult]:
+        """Rebuild one member's result from its completion record, at full
+        fidelity when possible.
+
+        The JSON record is authoritative: ``None`` (the member must
+        re-run) when there is no record, when it is not valid UTF-8 JSON,
+        or when it was written for a different version of the spec.  When
+        the ``.raw.pkl`` written alongside it still matches the spec, the
+        driver's native result object is restored so study-specific
+        attributes survive resume; a stale or unreadable pickle silently
+        degrades to the recorded rows + report.
+        """
         try:
             with open(
                 os.path.join(records_dir, f"{name}.json"), encoding="utf-8"
             ) as handle:
                 record = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, ValueError):
+            # ValueError covers JSONDecodeError and UnicodeDecodeError.
             return None
         if not isinstance(record, dict) or record.get("spec") != spec.to_dict():
-            return None
-        return record
-
-    @classmethod
-    def _load_suite_result(
-        cls, records_dir: str, name: str, spec: StudySpec
-    ) -> Optional[StudyResult]:
-        """Rebuild one member's result from its completion record, at full
-        fidelity when possible.
-
-        The JSON record is authoritative (no record, or a spec mismatch,
-        means re-run).  When the ``.raw.pkl`` written alongside it still
-        matches the spec, the driver's native result object is restored so
-        study-specific attributes survive resume; a stale or unreadable
-        pickle silently degrades to the recorded rows + report.
-        """
-        record = cls._load_suite_record(records_dir, name, spec)
-        if record is None:
             return None
         raw = load_fidelity(
             os.path.join(records_dir, f"{name}.raw.pkl"), spec.to_dict()
@@ -1036,15 +1027,24 @@ class Session:
                 os.path.join(records_dir, f"{name}.raw.pkl"), fidelity
             )
 
-    @staticmethod
-    def _write_suite_manifest(records_dir: str, suite_result: SuiteResult) -> None:
-        """Atomically write the suite's output manifest, which fixes the
-        member order of ``repro report``.  Every executor writes it once
-        all members have completed."""
-        atomic_write(
-            os.path.join(records_dir, "manifest.json"),
-            suite_result.to_json(indent=2).encode("utf-8"),
+    def _finish_suite(
+        self,
+        suite: SuiteSpec,
+        records_dir: Optional[str],
+        results: "Mapping[str, StudyResult]",
+        elapsed: float,
+    ) -> SuiteResult:
+        """Build the suite result and, with a ``records_dir``, atomically
+        write its output manifest, which fixes ``repro report``'s order."""
+        suite_result = SuiteResult(
+            suite, results, elapsed_seconds=elapsed, cache=self.cache.stats()
         )
+        if records_dir is not None:
+            atomic_write(
+                os.path.join(records_dir, "manifest.json"),
+                suite_result.to_json(indent=2).encode("utf-8"),
+            )
+        return suite_result
 
     # ------------------------------------------------------------------
     # Introspection

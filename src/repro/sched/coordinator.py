@@ -15,11 +15,13 @@ A :class:`Coordinator` owns the lifecycle of one distributed suite run:
 3. **assemble** — adapt the committed task records back into
    :class:`~repro.api.results.StudyResult` objects (native attributes
    restored from the ``.raw.pkl`` written at commit when possible), merge
-   shard results in canonical order, write the same per-member completion
-   records the in-process path writes (so ``--resume`` works after a
-   distributed run), and return a :class:`~repro.api.results.SuiteResult`
-   whose rows are bitwise-identical to the in-process path — scheduling
-   never influences results, only wall-clock.
+   shard results in canonical order, write each member's completion
+   record with ``Session._write_suite_record`` (so ``--resume`` works
+   after a distributed run), and finish through ``Session._finish_suite``
+   — the one builder of the :class:`~repro.api.results.SuiteResult` and
+   writer of ``manifest.json`` for every executor.  Rows are
+   bitwise-identical to the in-process path: scheduling never influences
+   results, only wall-clock.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.api.results import StudyResult, SuiteResult, merge_results
 from repro.api.spec import SuiteSpec
-from repro.engine.cache import atomic_write
 from repro.sched.queue import TaskQueue, TaskRecord
 from repro.sched.worker import Worker
 from repro.telemetry.tracing import suite_trace_context, trace
@@ -112,7 +113,8 @@ class Coordinator:
             lease_seconds=lease_seconds,
             **queue_kwargs,
         )
-        self._enqueued = False
+        # What enqueue() replayed; None until the suite is enqueued.
+        self._replayed: Optional[Dict[str, StudyResult]] = None
 
     # ------------------------------------------------------------------
     # Planning and enqueue
@@ -188,25 +190,18 @@ class Coordinator:
         than clobbered.  With ``resume``, an identical existing queue is
         joined as-is: committed tasks stay committed and nothing touches
         markers workers may hold.  This coordinator enqueues at most once;
-        :meth:`run` reuses an explicit earlier :meth:`enqueue`.
+        :meth:`run` reuses an explicit earlier :meth:`enqueue` and its
+        replays.
         """
-        replayed: Dict[str, StudyResult] = {}
-        if resume:
-            records_dir = self.session._suite_records_dir(self.suite)
-            for name, spec in self.suite:
-                result = self.session._load_suite_result(
-                    records_dir, name, spec
-                )
-                if result is not None:
-                    replayed[name] = result
-        if not self._enqueued:
+        if self._replayed is None:
+            _, replayed = self.session._replay_suite(self.suite, resume)
             self.queue.create(
                 self.suite,
                 self.plan(skip_members=tuple(replayed)),
                 keep_completed=resume,
             )
-            self._enqueued = True
-        return replayed
+            self._replayed = replayed
+        return self._replayed
 
     # ------------------------------------------------------------------
     # Driving
@@ -254,24 +249,13 @@ class Coordinator:
     ) -> SuiteResult:
         started = time.perf_counter()
         replayed = self.enqueue(resume=resume)
-        for name in self.suite.names:
-            if name in replayed:
-                # Resume records served this member without touching the
-                # object store; record that as an (instant) replay span.
-                with trace.span(
-                    f"replay/{name}",
-                    suite=self.suite.name,
-                    member=name,
-                    cached=True,
-                ):
-                    pass
         total = len(self.suite)
-        sequence = 0
-        for name in self.suite.names:
-            if name in replayed and progress is not None:
-                progress("replay", name, sequence, total, replayed[name])
-            if name in replayed:
-                sequence += 1
+        # Replays report first, numbered 0..k-1 in schedule order, so a
+        # full resume streams exactly the events run_suite streams.
+        if progress is not None:
+            for sequence, (name, result) in enumerate(replayed.items()):
+                progress("replay", name, sequence, total, result)
+        sequence = len(replayed)
         worker = (
             Worker(
                 self.session.cache.cache_dir,
@@ -296,7 +280,6 @@ class Coordinator:
         )
         deadline = None if timeout is None else time.monotonic() + timeout
         assembled: Dict[str, StudyResult] = dict(replayed)
-        reported: set = set(replayed)
         started_index: Dict[str, int] = {}
         member_tasks: Optional[Dict[str, List[TaskRecord]]] = None
         try:
@@ -310,8 +293,8 @@ class Coordinator:
                             )
                     state = self.queue.snapshot()
                     sequence = self._report_progress(
-                        member_tasks, state, started_index, reported,
-                        assembled, progress, sequence, total,
+                        member_tasks, state, started_index, assembled,
+                        progress, sequence, total,
                     )
                     finished = self.queue.complete(state)
                 except FileNotFoundError:
@@ -355,7 +338,6 @@ class Coordinator:
         member_tasks: Dict[str, List[TaskRecord]],
         state,
         started_index: Dict[str, int],
-        reported: set,
         assembled: Dict[str, StudyResult],
         progress: Optional["SuiteProgress"],
         sequence: int,
@@ -366,12 +348,13 @@ class Coordinator:
         A member's first observed activity (any of its tasks leased or
         committed) emits ``start``; full commitment emits ``done`` with
         the *same* index, matching :meth:`Session.run_suite`.  A member
-        that completes between polls emits both back to back.  The adapted
-        result is kept in ``assembled`` so the final assembly reuses it
+        that completes between polls emits both back to back.  Members in
+        ``assembled`` (replayed or done) are skipped; a done member's
+        adapted result is kept there so the final assembly reuses it
         instead of re-reading records and re-unpickling raws.
         """
         for member in self.suite.names:
-            if member in reported:
+            if member in assembled:
                 continue
             tasks = member_tasks.get(member, [])
             if not tasks:
@@ -388,7 +371,6 @@ class Coordinator:
                     )
             if not all(task.id in state.done for task in tasks):
                 continue
-            reported.add(member)
             assembled[member] = self._member_result(member, tasks)
             if progress is not None:
                 progress(
@@ -464,30 +446,25 @@ class Coordinator:
         record means something else happened (e.g. an operator deleted
         state), which is an error, not silent data.
         """
-        records_dir = self.session._suite_records_dir(self.suite)
-        results: Dict[str, StudyResult] = {}
+        _, recorded = self.session._replay_suite(self.suite, resume=True)
+        for member, result in recorded.items():
+            if member in assembled:
+                continue
+            assembled[member] = result
+            if progress is not None:
+                progress("replay", member, sequence, total, result)
+            sequence += 1
         for member in self.suite.names:
-            result = assembled.get(member)
-            if result is None:
-                result = self.session._load_suite_result(
-                    records_dir, member, self.suite[member]
+            if member not in assembled:
+                raise RuntimeError(
+                    f"the queue of distributed suite {self.suite.name!r} "
+                    f"disappeared mid-run and no completion record covers "
+                    f"member {member!r}; if the queue directory was "
+                    f"deleted by hand, re-run the suite"
                 )
-                if result is None:
-                    raise RuntimeError(
-                        f"the queue of distributed suite {self.suite.name!r} "
-                        f"disappeared mid-run and no completion record covers "
-                        f"member {member!r}; if the queue directory was "
-                        f"deleted by hand, re-run the suite"
-                    )
-                if progress is not None:
-                    progress("replay", member, sequence, total, result)
-                sequence += 1
-            results[member] = result
-        return SuiteResult(
-            self.suite,
-            results,
-            elapsed_seconds=time.perf_counter() - started,
-            cache=self.session.cache.stats(),
+        # The sibling that destroyed the queue wrote the manifest.
+        return self.session._finish_suite(
+            self.suite, None, assembled, time.perf_counter() - started
         )
 
     def _assemble(
@@ -526,16 +503,11 @@ class Coordinator:
             # Mirror the in-process path's completion records so a later
             # --resume (distributed or not) replays this member.  Members
             # replayed *into* this run already have a matching record.
-            if records_dir is not None and not result.replayed:
+            if not result.replayed:
                 self.session._write_suite_record(records_dir, member, result)
-        suite_result = SuiteResult(
-            self.suite,
-            results,
-            elapsed_seconds=time.perf_counter() - started,
-            cache=self.session.cache.stats(),
+        suite_result = self.session._finish_suite(
+            self.suite, records_dir, results, time.perf_counter() - started
         )
-        if records_dir is not None:
-            self.session._write_suite_manifest(records_dir, suite_result)
         # The queue is spent scratch state now — every result lives in the
         # completion records above.  Destroying it keeps the GC-exempt
         # queue namespace from accumulating (one raw pickle per task adds

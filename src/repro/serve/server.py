@@ -457,7 +457,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # incl. undecodable bytes
             return self._send_error_json(
                 HTTPStatus.NOT_FOUND,
                 f"no cached result for member {member!r} of suite {suite!r}",

@@ -816,6 +816,37 @@ class TestDistributedExecution:
         )
         assert result.names == suite.names  # canonical assembly order
 
+    def test_distributed_resume_replays_like_in_process(self, tmp_path):
+        # Priorities make schedule order differ from manifest order; both
+        # executors must report a full resume's replays in schedule order.
+        suite = _suite(
+            tmp_path / "store",
+            priorities={"figC1-sample-size": 10, "fig2-binomial": 5},
+        )
+        with Session.for_suite(suite) as session:
+            session.run_suite(suite)
+        streams = {}
+        for distributed in (False, True):
+            events = []
+            kwargs = (
+                {"distributed": True, "poll_seconds": 0.05}
+                if distributed
+                else {}
+            )
+            with Session.for_suite(suite) as session:
+                session.run_suite(
+                    suite,
+                    resume=True,
+                    progress=lambda *event: events.append(event[:4]),
+                    **kwargs,
+                )
+            streams[distributed] = events
+        assert streams[True] == streams[False] == [
+            ("replay", "figC1-sample-size", 0, 3),
+            ("replay", "fig2-binomial", 1, 3),
+            ("replay", "fig1-variance", 2, 3),
+        ]
+
     def test_resume_skips_queue_and_restores_native_attributes(
         self, tmp_path, queue_backend
     ):

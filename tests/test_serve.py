@@ -359,6 +359,18 @@ class TestSuiteJobs:
                     _get(server, path)
                 assert excinfo.value.code == 404
 
+    def test_undecodable_member_record_is_404(self, tmp_path):
+        records = tmp_path / "cache" / "suites" / "pair"
+        records.mkdir(parents=True)
+        (records / "sizes.json").write_bytes(b"\xff\xfe\x00\x81 not utf-8")
+        with serving(tmp_path) as server:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(server, "/v1/results/pair/sizes")
+            assert excinfo.value.code == 404
+            assert json.loads(excinfo.value.read()) == {
+                "error": "no cached result for member 'sizes' of suite 'pair'"
+            }
+
     def test_reports_endpoint_matches_offline_builder(self, tmp_path):
         """GET /v1/reports/<suite> is the same payload ``repro report``
         builds offline from the cache — records in, zero re-execution."""

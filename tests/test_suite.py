@@ -33,7 +33,7 @@ from repro.api import (
     smoke_suite,
 )
 from repro.api.session import SuiteHandle
-from repro.engine.cache import FileStore
+from repro.engine.cache import FileStore, atomic_write
 
 ALL_STUDIES = list_studies()
 
@@ -296,6 +296,17 @@ class TestSuiteResume:
         assert resumed.replayed == ["fig1-variance", "figC1-sample-size"]
         assert not resumed["fig2-binomial"].replayed
 
+    def test_undecodable_record_reruns_only_that_member(self, tmp_path):
+        suite = _make_suite(tmp_path / "store")
+        with Session.for_suite(suite) as session:
+            cold = session.run_suite(suite)
+        records = tmp_path / "store" / "suites" / suite.name
+        (records / "fig2-binomial.json").write_bytes(b"\xff\xfe\x00\x81 not utf-8")
+        with Session.for_suite(suite) as session:
+            resumed = session.run_suite(suite, resume=True)
+        assert resumed.replayed == ["fig1-variance", "figC1-sample-size"]
+        assert _rows(resumed["fig2-binomial"]) == _rows(cold["fig2-binomial"])
+
     def test_resume_without_cache_dir_rejected(self):
         suite = SuiteSpec(name="s", specs=SUITE_MEMBERS)
         with Session() as session:
@@ -344,6 +355,56 @@ class TestSuiteResume:
             assert (records / f"{name}.json").exists()
         manifest = json.loads((records / "manifest.json").read_text())
         assert [entry["name"] for entry in manifest["results"]] == suite.names
+
+    @pytest.mark.parametrize("executor", ["run", "submit", "distributed"])
+    def test_every_executor_writes_and_loads_each_record_once(
+        self, tmp_path, monkeypatch, executor
+    ):
+        # The counts perfbench reads as api.record.writes / api.resume.
+        writes, loads, manifests = [], [], []
+        write, load = Session._write_suite_record, Session._load_suite_result
+
+        def counting_write(records_dir, name, result):
+            writes.append(name)
+            return write(records_dir, name, result)
+
+        def counting_load(records_dir, name, spec):
+            loads.append(name)
+            return load(records_dir, name, spec)
+
+        def counting_atomic_write(path, payload):
+            if path.endswith("manifest.json"):
+                manifests.append(path)
+            return atomic_write(path, payload)
+
+        monkeypatch.setattr(
+            Session, "_write_suite_record", staticmethod(counting_write)
+        )
+        monkeypatch.setattr(
+            Session, "_load_suite_result", staticmethod(counting_load)
+        )
+        monkeypatch.setattr(
+            "repro.api.session.atomic_write", counting_atomic_write
+        )
+
+        def run(suite, resume):
+            with Session.for_suite(suite) as session:
+                if executor == "submit":
+                    return session.submit_suite(suite, resume=resume).result()
+                if executor == "distributed":
+                    return session.run_suite(
+                        suite, resume=resume, distributed=True, poll_seconds=0.05
+                    )
+                return session.run_suite(suite, resume=resume)
+
+        suite = _make_suite(tmp_path / "store")
+        run(suite, resume=False)
+        assert sorted(writes) == sorted(suite.names)
+        assert loads == [] and len(manifests) == 1
+        resumed = run(suite, resume=True)
+        assert sorted(loads) == sorted(suite.names)
+        assert sorted(writes) == sorted(suite.names)  # nothing re-written
+        assert resumed.replayed == suite.names
 
 
 # ----------------------------------------------------------------------

@@ -476,6 +476,29 @@ class TestDistributedTrace:
         }
         assert all(s["attrs"].get("cached") for s in replays)
 
+    def test_submitted_suite_spans_join_the_suite_trace(self, tmp_path):
+        name = "telemetry-submit"
+        suite = make_suite(tmp_path, name=name, members=PARITY_MEMBERS)
+        with Session.for_suite(suite) as session:
+            session.submit_suite(suite).result()
+        spans = filter_suite(load_spans(str(tmp_path)), name)
+        members = [s for s in spans if s["name"].startswith("member/")]
+        assert sorted(s["name"] for s in members) == sorted(
+            f"member/{member}" for member, _ in PARITY_MEMBERS
+        )
+        for member in members:
+            assert [
+                s["name"].split("/")[0]
+                for s in spans
+                if s["parent_id"] == member["span_id"]
+            ] == ["study"]
+        with Session.for_suite(suite) as session:
+            session.submit_suite(suite, resume=True).result()
+        spans = filter_suite(load_spans(str(tmp_path)), name)
+        assert sorted(
+            s["name"] for s in spans if s["name"].startswith("replay/")
+        ) == sorted(f"replay/{member}" for member, _ in PARITY_MEMBERS)
+
 
 # ---------------------------------------------------------------------------
 # Serve endpoints
