@@ -567,7 +567,7 @@ def _distributed_members(*, n_seeds, n_splits, dataset_size, random_state):
     ]
 
 
-def _run_distributed(members, directory, n_workers, queue_backend="fs"):
+def _run_distributed(members, directory, n_workers):
     """Enqueue the suite, drain it with n external worker processes."""
     from repro.sched import Coordinator
 
@@ -579,9 +579,7 @@ def _run_distributed(members, directory, n_workers, queue_backend="fs"):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     start = time.perf_counter()
     with Session.for_suite(suite) as session:
-        coordinator = Coordinator(
-            session, suite, poll_seconds=0.05, queue_backend=queue_backend
-        )
+        coordinator = Coordinator(session, suite, poll_seconds=0.05)
         # No explicit enqueue: run() enqueues, and the workers poll until
         # the queue appears (--exit-when-done waits for one to exist).
         workers = [
@@ -592,8 +590,6 @@ def _run_distributed(members, directory, n_workers, queue_backend="fs"):
                     "repro",
                     "worker",
                     directory,
-                    "--queue-backend",
-                    queue_backend,
                     "--exit-when-done",
                     "--timeout",
                     "600",
@@ -635,21 +631,20 @@ def _run_distributed_comparison(
         with Session.for_suite(suite) as session:
             reference = session.run_suite(suite)
         single_time = time.perf_counter() - start
-    times = {}
-    rows = {"single": _suite_rows(reference)}
-    for backend in ("fs", "sqlite"):
-        with tempfile.TemporaryDirectory() as one_dir:
-            one_worker, one_time = _run_distributed(
-                members, one_dir, 1, queue_backend=backend
-            )
-        with tempfile.TemporaryDirectory() as three_dir:
-            three_workers, three_time = _run_distributed(
-                members, three_dir, 3, queue_backend=backend
-            )
-        times[backend] = {"one_worker": one_time, "three_workers": three_time}
-        rows[f"{backend}_one_worker"] = _suite_rows(one_worker)
-        rows[f"{backend}_three_workers"] = _suite_rows(three_workers)
-    return {"single_time": single_time, "times": times, "rows": rows}
+    with tempfile.TemporaryDirectory() as one_dir:
+        one_worker, one_time = _run_distributed(members, one_dir, 1)
+    with tempfile.TemporaryDirectory() as three_dir:
+        three_workers, three_time = _run_distributed(members, three_dir, 3)
+    return {
+        "single_time": single_time,
+        "one_worker_time": one_time,
+        "three_worker_time": three_time,
+        "rows": {
+            "single": _suite_rows(reference),
+            "one_worker": _suite_rows(one_worker),
+            "three_workers": _suite_rows(three_workers),
+        },
+    }
 
 
 def test_suite_distributed(benchmark, scale):
@@ -661,21 +656,13 @@ def test_suite_distributed(benchmark, scale):
         dataset_size=scale["dataset_size"],
     )
     rows = [
-        {"phase": "single process (in-session)", "seconds": result["single_time"]}
+        {"phase": "single process (in-session)", "seconds": result["single_time"]},
+        {"phase": "queue, 1 worker process", "seconds": result["one_worker_time"]},
+        {
+            "phase": "queue, 3 worker processes",
+            "seconds": result["three_worker_time"],
+        },
     ]
-    for backend, times in result["times"].items():
-        rows.append(
-            {
-                "phase": f"{backend} queue, 1 worker process",
-                "seconds": times["one_worker"],
-            }
-        )
-        rows.append(
-            {
-                "phase": f"{backend} queue, 3 worker processes",
-                "seconds": times["three_workers"],
-            }
-        )
     print()
     print(
         format_table(
@@ -685,23 +672,15 @@ def test_suite_distributed(benchmark, scale):
         )
     )
     benchmark.extra_info["dist_single_time"] = result["single_time"]
-    for backend, times in result["times"].items():
-        benchmark.extra_info[f"dist_{backend}_one_worker_time"] = times[
-            "one_worker"
-        ]
-        benchmark.extra_info[f"dist_{backend}_three_worker_time"] = times[
-            "three_workers"
-        ]
+    benchmark.extra_info["dist_fs_one_worker_time"] = result["one_worker_time"]
+    benchmark.extra_info["dist_fs_three_worker_time"] = result["three_worker_time"]
     record_bench("distributed", dict(benchmark.extra_info))
 
     # Scheduling must never influence results: every member's rows are
-    # bitwise-identical whether the suite ran in-process, through either
-    # queue backend with one worker, or raced across three.
-    for backend in result["times"]:
-        assert result["rows"][f"{backend}_one_worker"] == result["rows"]["single"]
-        assert (
-            result["rows"][f"{backend}_three_workers"] == result["rows"]["single"]
-        )
+    # bitwise-identical whether the suite ran in-process, through the
+    # queue with one worker, or raced across three.
+    assert result["rows"]["one_worker"] == result["rows"]["single"]
+    assert result["rows"]["three_workers"] == result["rows"]["single"]
 
 
 # ----------------------------------------------------------------------

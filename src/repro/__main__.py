@@ -25,9 +25,6 @@ figure suite — is launchable from a JSON manifest without writing Python::
     python -m repro worker .repro-cache                 # terminals 2..N
     python -m repro queue .repro-cache                  # live queue status
 
-    # transactional sqlite queue instead of rename-claim files
-    python -m repro suite manifest.json --distributed --queue-backend sqlite
-
     # long-running HTTP/JSON study service with a live dashboard at /
     python -m repro serve .repro-cache --port 8321      # terminal 1
     python -m repro worker .repro-cache                 # terminals 2..N
@@ -74,13 +71,10 @@ every subcommand that takes them:
   worker count and executor backend, and fit up to ``--batch-size``
   same-hyperparameter measurements as one vectorized multi-seed batch.
   Results are bitwise-identical at any value.
-* queue — ``--queue-backend``, ``--lease-seconds`` (``suite``,
-  ``worker``, ``queue``, ``serve``): where durable task state lives,
-  ``fs`` (rename-claim files under ``<cache_dir>/queue/<suite>/``, the
-  default) or ``sqlite`` (transactional claims in
-  ``<cache_dir>/queue.db``), and the heartbeat lease after which a
-  claimed task may be stolen.  ``worker`` and ``queue`` read both
-  backends unless one is named.
+* queue — ``--lease-seconds`` (``suite``, ``worker``, ``queue``,
+  ``serve``): the heartbeat lease after which a claimed task may be
+  stolen.  Durable task state lives in rename-claim files under
+  ``<cache_dir>/queue/<suite>/``.
 * retry — ``--max-attempts``, ``--stall-seconds`` (``suite``,
   ``worker``, ``serve``): executions a task gets before a transient
   failure parks it, and how long a study may make no progress before its
@@ -91,8 +85,8 @@ every subcommand that takes them:
 * ``--log-level`` (``run``, ``suite``, ``worker``, ``serve``): threshold
   of the levelled stderr logging (default ``$REPRO_LOG_LEVEL`` or INFO).
 
-On ``suite``, ``--shard-members`` and the queue and retry flags require
-``--distributed``.
+On ``suite``, ``--shard-members``, ``--lease-seconds`` and the retry
+flags require ``--distributed``.
 
 Exit codes: 0 success, 2 for an unreadable or malformed spec/manifest or
 an out-of-range flag (the offending field is named on stderr).
@@ -110,7 +104,6 @@ from typing import List, Optional
 from repro.api import Session, StudySpec, SuiteSpec, get_study, iter_studies
 from repro.api.spec import VALID_BACKENDS
 from repro.engine.cache import FileStore
-from repro.sched.backend import QUEUE_BACKENDS
 from repro.telemetry.log import get_logger, setup_logging
 
 
@@ -159,17 +152,6 @@ def _queue_flags(lease_seconds: Optional[float]) -> argparse.ArgumentParser:
     # change every child's default.  ``suite`` needs None (to tell an
     # explicit --lease-seconds apart); worker, queue and serve need 30.
     queue = _parent()
-    queue.add_argument(
-        "--queue-backend",
-        choices=QUEUE_BACKENDS,
-        default=None,
-        help=(
-            "where durable task state lives: 'fs' (rename-claim files under "
-            "<cache_dir>/queue/<suite>/, the default for new queues) or "
-            "'sqlite' (transactional claims in <cache_dir>/queue.db); "
-            "worker and queue read both unless one is named"
-        ),
-    )
     queue.add_argument(
         "--lease-seconds",
         type=float,
@@ -323,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "execute through the durable work queue under the cache dir so "
             "`repro worker` processes sharing it claim tasks cooperatively; "
             "this coordinator participates too, so zero workers still "
-            "complete (--shard-members and the queue and retry flags "
-            "require it)"
+            "complete (--shard-members, --lease-seconds and the retry "
+            "flags require it)"
         ),
     )
     suite.set_defaults(handler=_suite)
@@ -576,8 +558,6 @@ def _suite(args: argparse.Namespace) -> int:
             raise CLIError("--shard-members requires --distributed")
         if args.lease_seconds is not None:
             raise CLIError("--lease-seconds requires --distributed")
-        if args.queue_backend is not None:
-            raise CLIError("--queue-backend requires --distributed")
         if args.max_attempts is not None:
             raise CLIError("--max-attempts requires --distributed")
         if args.stall_seconds is not None:
@@ -589,7 +569,6 @@ def _suite(args: argparse.Namespace) -> int:
             "distributed": True,
             "shard_members": args.shard_members,
             "lease_seconds": args.lease_seconds,
-            "queue_backend": args.queue_backend,
             "max_attempts": args.max_attempts,
             "stall_seconds": args.stall_seconds,
         }
@@ -629,7 +608,6 @@ def _worker(args: argparse.Namespace) -> int:
         worker_id=args.worker_id,
         lease_seconds=args.lease_seconds,
         poll_seconds=args.poll_seconds,
-        queue_backend=args.queue_backend,
         max_attempts=args.max_attempts,
         stall_seconds=args.stall_seconds,
         n_jobs=args.n_jobs,
@@ -656,11 +634,7 @@ def _queue_status(args: argparse.Namespace) -> int:
     from repro.sched import TaskQueue  # local: keep CLI start-up light
 
     _check_flags(args, store=True)
-    queues = TaskQueue.discover(
-        args.cache_dir,
-        backend=args.queue_backend,
-        lease_seconds=args.lease_seconds,
-    )
+    queues = TaskQueue.discover(args.cache_dir, lease_seconds=args.lease_seconds)
     if args.suite is not None:
         queues = [queue for queue in queues if queue.suite_name == args.suite]
     reports = []
@@ -678,7 +652,7 @@ def _queue_status(args: argparse.Namespace) -> int:
         return 0
     for report in reports:
         state = "complete" if report["complete"] else "in progress"
-        print(f"{report['suite']} [{report['backend']}] — {state}")
+        print(f"{report['suite']} — {state}")
         print(f"  at {report['location']}")
         blocked = (
             f", {report['blocked']} blocked" if report["blocked"] else ""
@@ -744,7 +718,6 @@ def _serve(args: argparse.Namespace) -> int:
             port=args.port,
             session_config=session_config,
             verbose=not args.quiet,
-            queue_backend=args.queue_backend,
             shard_members=args.shard_members,
             participate=not args.no_participate,
             lease_seconds=args.lease_seconds,

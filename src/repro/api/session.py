@@ -750,7 +750,6 @@ class Session:
         lease_seconds: Optional[float] = None,
         poll_seconds: Optional[float] = None,
         timeout: Optional[float] = None,
-        queue_backend: Optional[str] = None,
         max_attempts: Optional[int] = None,
         stall_seconds: Optional[float] = None,
     ) -> SuiteResult:
@@ -781,13 +780,10 @@ class Session:
         ``python -m repro worker <cache_dir>`` processes (on this host or
         any host sharing the directory) claim and execute them under
         heartbeat leases, and this call streams progress and assembles the
-        bitwise-identical result.  ``queue_backend`` selects where task
-        state lives — ``"fs"`` (default: rename-claim files under
-        ``<cache_dir>/queue/<suite.name>/``) or ``"sqlite"``
-        (transactional claims in ``<cache_dir>/queue.db``, immune to
-        clock skew and network-filesystem rename races).
-        ``participate`` (default) makes this session execute tasks too,
-        so zero external workers still complete; ``shard_members``
+        bitwise-identical result.  Task state lives in rename-claim files
+        under ``<cache_dir>/queue/<suite.name>/``.  ``participate``
+        (default) makes this session execute tasks too, so zero external
+        workers still complete; ``shard_members``
         pre-shards members by scope path for finer-grained stealing;
         ``lease_seconds``/``poll_seconds`` tune the queue;
         ``max_attempts`` bounds re-runs after transient failures;
@@ -804,7 +800,6 @@ class Session:
                 shard_members=shard_members,
                 lease_seconds=30.0 if lease_seconds is None else lease_seconds,
                 poll_seconds=0.2 if poll_seconds is None else poll_seconds,
-                queue_backend=queue_backend,
                 max_attempts=max_attempts,
                 stall_seconds=stall_seconds,
             )
@@ -825,7 +820,6 @@ class Session:
                 ("lease_seconds", lease_seconds is not None),
                 ("poll_seconds", poll_seconds is not None),
                 ("timeout", timeout is not None),
-                ("queue_backend", queue_backend is not None),
                 ("max_attempts", max_attempts is not None),
                 ("stall_seconds", stall_seconds is not None),
             )

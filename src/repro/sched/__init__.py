@@ -5,18 +5,14 @@ for every variance source — makes figure regeneration embarrassingly
 parallel but wall-clock-expensive.  This package turns the single-process
 suite runner into a multi-worker (and multi-host) system:
 
-* :mod:`repro.sched.backend` — the :class:`QueueBackend` seam: one
-  durable task-lifecycle protocol (claim, heartbeat, commit, fail with
-  bounded retries, steal-on-expiry), plus :class:`FilesystemBackend`,
-  the zero-infrastructure implementation — atomic-rename claims and
-  mtime-heartbeat leases under ``<cache_dir>/queue/<suite>/``;
-* :mod:`repro.sched.sqlite` — :class:`SqliteBackend`, the same protocol
-  on a WAL-mode database at ``<cache_dir>/queue.db`` with transactional
-  claims, immune to clock skew and network-filesystem rename races;
-* :mod:`repro.sched.queue` — :class:`TaskQueue`, the backend-agnostic
-  queue of one suite: plan caching, dependency gating, priority order,
-  failure propagation — so a stale worker can never double-commit and a
-  transient failure re-enqueues instead of parking forever;
+* :mod:`repro.sched.backend` — :class:`FilesystemBackend`, the durable
+  task lifecycle (claim, heartbeat, commit, fail with bounded retries,
+  steal-on-expiry) as atomic-rename claims and mtime-heartbeat leases
+  under ``<cache_dir>/queue/<suite>/`` — zero infrastructure;
+* :mod:`repro.sched.queue` — :class:`TaskQueue`, the queue of one suite:
+  plan caching, dependency gating, priority order, failure propagation —
+  so a stale worker can never double-commit and a transient failure
+  re-enqueues instead of parking forever;
 * :mod:`repro.sched.worker` — :class:`Worker`, the claim-execute-commit
   loop behind ``python -m repro worker <cache_dir>``, with lease renewal
   coupled to study progress so a hung task loses its lease;
@@ -25,31 +21,23 @@ suite runner into a multi-worker (and multi-host) system:
   path for fine-grained stealing), streams progress, and assembles the
   same bitwise-identical :class:`~repro.api.results.SuiteResult` as the
   in-process path — the engine behind
-  ``Session.run_suite(..., distributed=True, queue_backend=...)``.
+  ``Session.run_suite(..., distributed=True)``.
 
 At-least-once execution is safe here because every study derives its
 seeds from scope paths: re-running a stolen task produces bitwise-
-identical rows, so the only thing any backend must make unique is the
-*commit* — the claim token gates it on every backend.
+identical rows, so the only thing the queue must make unique is the
+*commit* — the claim token gates it.
 """
 
-from repro.sched.backend import (
-    QUEUE_BACKENDS,
-    FilesystemBackend,
-    QueueBackend,
-)
+from repro.sched.backend import FilesystemBackend
 from repro.sched.coordinator import Coordinator
 from repro.sched.queue import QueueState, TaskClaim, TaskQueue, TaskRecord
-from repro.sched.sqlite import SqliteBackend
 from repro.sched.worker import Worker, WorkerStats
 
 __all__ = [
     "Coordinator",
     "FilesystemBackend",
-    "QUEUE_BACKENDS",
-    "QueueBackend",
     "QueueState",
-    "SqliteBackend",
     "TaskClaim",
     "TaskQueue",
     "TaskRecord",

@@ -1,11 +1,11 @@
-"""The queue backend seam: one durable task-lifecycle protocol, N stores.
+"""The durable task-lifecycle store behind every distributed queue.
 
 :class:`~repro.sched.queue.TaskQueue` owns everything that is a pure
 function of the *plan* — dependency gating, priority order, shard
 affinity (a worker's ``prefer_member`` hint reorders claim candidates,
 see :meth:`~repro.sched.queue.TaskQueue.claimable`), failure
 propagation, shard assembly — and delegates everything that must be
-*durable and atomic* to a :class:`QueueBackend`:
+*durable and atomic* to a :class:`FilesystemBackend`:
 
 * ``create_plan`` / ``reset`` / ``destroy`` — the enqueue lifecycle;
 * ``claim`` / ``steal_expired`` — take a pending task, or one whose
@@ -23,26 +23,15 @@ propagation, shard assembly — and delegates everything that must be
 * ``release`` — put a claimed task back (graceful shutdown);
 * ``snapshot`` — one consistent-enough view of every task's state.
 
-Two implementations ship:
-
-* :class:`FilesystemBackend` (this module) — PR 5's atomic-rename /
-  mtime-heartbeat queue, byte-for-byte the same on-disk layout under
-  ``<cache_dir>/queue/<suite>/``, so queues enqueued before the backend
-  seam existed remain readable.  Perfect on one host; usable across
-  hosts over a well-behaved shared filesystem.
-* :class:`~repro.sched.sqlite.SqliteBackend` — a WAL-mode SQLite
-  database at ``<cache_dir>/queue.db`` with *transactional* claims
-  (``UPDATE ... WHERE status='pending'``), immune to clock skew between
-  claimants and to the rename races NFS is notorious for.
-
-At-least-once execution stays safe on any backend because results are a
-pure function of the spec (scope-addressed seeding); the backend's one
-hard job is making the *commit* unique.
+The store is plain files under ``<cache_dir>/queue/<suite>/``: every
+state transition is one atomic rename, and a lease is a claim file's
+mtime.  At-least-once execution is safe because results are a pure
+function of the spec (scope-addressed seeding); the store's one hard
+job is making the *commit* unique.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import json
 import os
@@ -56,16 +45,10 @@ from repro.engine.cache import atomic_write
 
 __all__ = [
     "FilesystemBackend",
-    "QueueBackend",
     "QueueState",
     "TaskClaim",
-    "QUEUE_BACKENDS",
     "retry_not_before",
 ]
-
-#: Names accepted wherever a queue backend is selected (CLI flags,
-#: ``Session.run_suite(queue_backend=...)``, ``TaskQueue(backend=...)``).
-QUEUE_BACKENDS = ("fs", "sqlite")
 
 #: Separator between task id and claim token in running/ filenames.  Task
 #: ids use the member-name alphabet plus ``@`` (shard suffix), so ``#``
@@ -90,8 +73,8 @@ def retry_not_before(
     in lock-step too and thundering-herd the store.  The jitter is
     *deterministic* — a uniform draw seeded from
     ``sha256("<task_id>:<attempts>")`` — so every replica computes the
-    identical timestamp for the same failure (no backend-side coin
-    flips to reason about) while distinct tasks, and distinct attempts
+    identical timestamp for the same failure (no coin flips to reason
+    about) while distinct tasks, and distinct attempts
     of one task, still spread out.
 
     ``base <= 0`` disables backoff entirely (the pre-backoff contract:
@@ -112,15 +95,14 @@ def retry_not_before(
 class TaskClaim:
     """Proof of task possession.
 
-    ``token`` is the commit credential on every backend; ``path`` is the
-    filesystem backend's lease file (empty for database backends);
-    ``attempts`` counts *failed executions before this one* — the claim
-    of a task's first execution carries 0.
+    ``token`` is the commit credential; ``path`` is the lease file under
+    ``running/``; ``attempts`` counts *failed executions before this
+    one* — the claim of a task's first execution carries 0.
     """
 
     task_id: str
     token: str
-    path: str = ""
+    path: str
     attempts: int = 0
 
 
@@ -131,7 +113,7 @@ class QueueState:
     ``running`` maps task id to ``(lease name, heartbeat age seconds)``;
     ``pending``/``done``/``failed`` are sets of task ids.  State reads
     race concurrent transitions, so a task can transiently appear in no
-    set (mid-rename on the filesystem backend) — consumers simply rescan
+    set (mid-rename) — consumers simply rescan
     on the next poll.  ``attempts`` (failed executions so far),
     ``workers`` (running task -> worker id) and ``not_before`` (pending
     task -> absolute retry-backoff gate, only entries still in the
@@ -148,10 +130,10 @@ class QueueState:
     not_before: Dict[str, float] = field(default_factory=dict)
 
 
-class QueueBackend(abc.ABC):
-    """Durable task-lifecycle store behind :class:`TaskQueue`.
+class FilesystemBackend:
+    """Atomic-rename claims and mtime-heartbeat leases in one directory.
 
-    Implementations guarantee, whatever their medium:
+    Guarantees:
 
     * **claim exclusivity** — of N racing :meth:`claim` (or
       :meth:`steal_expired`) calls for one task, at most one returns a
@@ -159,152 +141,13 @@ class QueueBackend(abc.ABC):
     * **exactly-once commit** — :meth:`commit` succeeds only for the
       holder of the current claim token, and never twice for one task;
     * **monotonic terminality** — ``done`` and ``failed`` are terminal:
-      no backend operation moves a task out of them short of
-      :meth:`reset` / :meth:`destroy`.
+      no operation moves a task out of them short of :meth:`reset` /
+      :meth:`destroy`.
 
-    ``FileNotFoundError`` is the shared "queue is gone" signal: plan
-    reads of a destroyed queue raise it on every backend, so callers
-    handle disappearance uniformly.
-    """
+    ``FileNotFoundError`` is the "queue is gone" signal: plan reads of a
+    destroyed queue raise it, and callers handle disappearance there.
 
-    #: Registry name of this backend ("fs", "sqlite").
-    name: str = ""
-
-    def __init__(self, suite_name: str, lease_seconds: float) -> None:
-        if lease_seconds <= 0:
-            raise ValueError("lease_seconds must be positive")
-        self.suite_name = suite_name
-        self.lease_seconds = float(lease_seconds)
-
-    # -- enqueue lifecycle ---------------------------------------------
-    @abc.abstractmethod
-    def exists(self) -> bool:
-        """True when a plan is durably present for this suite."""
-
-    @abc.abstractmethod
-    def read_plan(self) -> bytes:
-        """The raw plan payload; raises ``FileNotFoundError`` if absent."""
-
-    @abc.abstractmethod
-    def plan_stamp(self) -> Any:
-        """Cheap change token of the current plan (no payload parse);
-        raises ``FileNotFoundError`` when the queue does not exist."""
-
-    @abc.abstractmethod
-    def read_suite(self) -> str:
-        """The enqueued suite manifest JSON text."""
-
-    @abc.abstractmethod
-    def create_plan(
-        self, suite_json: bytes, plan_payload: bytes, task_ids: Sequence[str]
-    ) -> None:
-        """Durably enqueue: every task pending, manifest stored, plan
-        landing *last* (the queue does not exist for workers until the
-        plan is visible, so a crash mid-enqueue never leaves a claimable
-        half-queue)."""
-
-    @abc.abstractmethod
-    def reset(self) -> None:
-        """Drop all task state *and* the plan (a rebuild invalidates
-        everything); the plan must stop being visible first."""
-
-    @abc.abstractmethod
-    def destroy(self) -> None:
-        """Remove every trace of this suite's queue."""
-
-    # -- task lifecycle -------------------------------------------------
-    @abc.abstractmethod
-    def snapshot(self, *, detail: bool = False) -> QueueState:
-        """Scan the current task states into one :class:`QueueState`."""
-
-    @abc.abstractmethod
-    def claim(self, task_id: str, *, worker: str = "") -> Optional[TaskClaim]:
-        """Atomically take a *pending* task; ``None`` when another worker
-        won the race (or the task is not pending)."""
-
-    @abc.abstractmethod
-    def steal_expired(
-        self, task_id: str, lease_name: str, *, worker: str = ""
-    ) -> Optional[TaskClaim]:
-        """Atomically take over a *running* task whose lease expired;
-        ``lease_name`` is the running entry observed in the snapshot (so
-        a lease refreshed since the snapshot is never stolen by
-        accident).  ``None`` when another stealer won."""
-
-    @abc.abstractmethod
-    def heartbeat(self, claim: TaskClaim) -> bool:
-        """Refresh the lease.  ``False`` means the task was stolen — the
-        worker must abandon the execution and must not commit."""
-
-    @abc.abstractmethod
-    def commit(
-        self, claim: TaskClaim, record: bytes, raw: Optional[bytes]
-    ) -> bool:
-        """Durably publish a result; exactly one of any number of
-        at-least-once executions returns ``True``."""
-
-    @abc.abstractmethod
-    def fail(
-        self,
-        claim: TaskClaim,
-        message: str,
-        *,
-        transient: bool = False,
-        max_attempts: int = 1,
-        retry_base_seconds: float = 0.0,
-        retry_cap_seconds: float = 60.0,
-    ) -> str:
-        """Record a failed execution.
-
-        Returns ``"retried"`` (transient, attempts left: the task is
-        pending again with ``attempts`` incremented), ``"failed"``
-        (parked with its error durably recorded), or ``""`` (the claim
-        was stolen first — the thief owns the task's fate, and this
-        execution was lost, not failed).
-
-        With ``retry_base_seconds > 0`` a retried task carries a
-        durable not-before timestamp — :func:`retry_not_before` of the
-        task id and new attempt count — and :meth:`claim` refuses it
-        until that gate passes (``0``, the protocol default, keeps the
-        pre-backoff immediate-retry contract).
-        """
-
-    @abc.abstractmethod
-    def release(self, claim: TaskClaim) -> bool:
-        """Put a claimed task back to pending (graceful shutdown)."""
-
-    def sweep_stale_lease(self, task_id: str, lease_name: str) -> None:
-        """Drop a lease left behind by a worker that crashed between its
-        commit and its cleanup.  Optional: backends whose commit clears
-        the lease atomically have nothing to sweep."""
-
-    # -- results --------------------------------------------------------
-    @abc.abstractmethod
-    def load_record(self, task_id: str) -> Optional[bytes]:
-        """The committed result record bytes (``None`` if absent)."""
-
-    @abc.abstractmethod
-    def load_raw(self, task_id: str) -> Optional[bytes]:
-        """The native-result fidelity pickle bytes (``None`` if absent)."""
-
-    @abc.abstractmethod
-    def load_error(self, task_id: str) -> str:
-        """The recorded error text of a failed task ('' if absent)."""
-
-    @abc.abstractmethod
-    def where(self) -> str:
-        """Human-readable location of this queue's durable state."""
-
-    def errors_where(self) -> str:
-        """Where an operator finds full failure tracebacks."""
-        return self.where()
-
-
-class FilesystemBackend(QueueBackend):
-    """PR 5's atomic-rename / mtime-heartbeat queue, behind the seam.
-
-    Layout (unchanged — queues enqueued before the backend seam existed
-    remain readable)::
+    Layout::
 
         <directory>/suite.json        # the SuiteSpec manifest
         <directory>/plan.json         # immutable task graph
@@ -319,26 +162,19 @@ class FilesystemBackend(QueueBackend):
     Every state transition is a single :func:`os.rename` on one
     filesystem, which POSIX makes atomic; heartbeats are ``os.utime``
     refreshes of the claim file's mtime.  Lease expiry compares that
-    mtime against the local clock, so leases shared across hosts should
-    comfortably exceed any clock skew between them (cross-host
-    deployments over NFS should use minutes — or the sqlite backend,
-    whose claims are transactions rather than renames).
+    mtime against the local clock, so leases shared across hosts must
+    exceed the clock skew between them.
 
     The retry counter — and, after a backoff-gated retry, the
-    ``not_before`` timestamp — ride inside the marker/claim file JSON
-    (PR 5 wrote ``{"task": <id>}`` there and documented the content as
-    informational, so old markers read as ``attempts == 0`` and
-    immediately claimable).
+    ``not_before`` timestamp — ride inside the marker/claim file JSON; a
+    marker without them reads as ``attempts == 0`` and immediately
+    claimable.
     """
-
-    name = "fs"
 
     _STATE_DIRS = ("pending", "running", "done", "failed", "results", "errors")
 
-    def __init__(self, directory: str, *, lease_seconds: float = 30.0) -> None:
-        directory = str(directory)
-        super().__init__(os.path.basename(directory), lease_seconds)
-        self.directory = directory
+    def __init__(self, directory: str) -> None:
+        self.directory = str(directory)
 
     # -- paths ----------------------------------------------------------
     def _dir(self, state: str) -> str:
@@ -359,21 +195,23 @@ class FilesystemBackend(QueueBackend):
     def error_path(self, task_id: str) -> str:
         return os.path.join(self.directory, "errors", f"{task_id}.json")
 
-    def where(self) -> str:
-        return self.directory
-
     def errors_where(self) -> str:
+        """Where an operator finds full failure tracebacks."""
         return os.path.join(self.directory, "errors")
 
     # -- enqueue lifecycle ---------------------------------------------
     def exists(self) -> bool:
+        """True when a plan is durably present for this suite."""
         return os.path.exists(self._plan_path())
 
     def read_plan(self) -> bytes:
+        """The raw plan payload; raises ``FileNotFoundError`` if absent."""
         with open(self._plan_path(), "rb") as handle:
             return handle.read()
 
     def plan_stamp(self) -> Any:
+        """Cheap change token of the current plan (no payload parse);
+        raises ``FileNotFoundError`` when the queue does not exist."""
         return os.stat(self._plan_path()).st_mtime_ns
 
     def read_suite(self) -> str:
@@ -385,13 +223,17 @@ class FilesystemBackend(QueueBackend):
     def create_plan(
         self, suite_json: bytes, plan_payload: bytes, task_ids: Sequence[str]
     ) -> None:
+        """Durably enqueue: every task pending, manifest stored, plan
+        landing *last* (the queue does not exist for workers until the
+        plan is visible, so a crash mid-enqueue never leaves a claimable
+        half-queue)."""
         os.makedirs(self.directory, exist_ok=True)
         for state_dir in self._STATE_DIRS:
             os.makedirs(self._dir(state_dir), exist_ok=True)
         atomic_write(os.path.join(self.directory, "suite.json"), suite_json)
         for task_id in task_ids:
             # The marker content is informational; claimability is the
-            # file's existence.  Byte-identical to the pre-seam layout.
+            # file's existence.
             atomic_write(
                 self._marker("pending", task_id),
                 json.dumps({"task": task_id}).encode("utf-8"),
@@ -399,6 +241,8 @@ class FilesystemBackend(QueueBackend):
         atomic_write(self._plan_path(), plan_payload)
 
     def reset(self) -> None:
+        """Drop all task state *and* the plan (a rebuild invalidates
+        everything)."""
         # Unlink the plan first: the queue stops existing, so workers
         # step aside (their cached plan goes stale) before any old-state
         # marker disappears or new marker lands.
@@ -419,6 +263,7 @@ class FilesystemBackend(QueueBackend):
 
     # -- task lifecycle -------------------------------------------------
     def snapshot(self, *, detail: bool = False) -> QueueState:
+        """Scan the current task states into one :class:`QueueState`."""
         state = QueueState()
         now = time.time()
         for name in self._list("pending"):
@@ -484,6 +329,9 @@ class FilesystemBackend(QueueBackend):
         return payload if isinstance(payload, dict) else {}
 
     def claim(self, task_id: str, *, worker: str = "") -> Optional[TaskClaim]:
+        """Atomically take a *pending* task; ``None`` when another worker
+        won the race, the task is not pending, or its retry backoff
+        gate has not passed yet."""
         marker = self._marker("pending", task_id)
         if self._marker_not_before(marker) > time.time():
             return None  # backing off after a transient failure
@@ -502,6 +350,10 @@ class FilesystemBackend(QueueBackend):
     def steal_expired(
         self, task_id: str, lease_name: str, *, worker: str = ""
     ) -> Optional[TaskClaim]:
+        """Atomically take over a *running* task whose lease expired;
+        ``lease_name`` is the running entry observed in the snapshot (so
+        a lease refreshed since the snapshot is never stolen by
+        accident).  ``None`` when another stealer won."""
         return self._take(
             task_id, self._marker("running", lease_name), worker=worker
         )
@@ -551,6 +403,8 @@ class FilesystemBackend(QueueBackend):
         )
 
     def heartbeat(self, claim: TaskClaim) -> bool:
+        """Refresh the lease.  ``False`` means the task was stolen — the
+        worker must abandon the execution and must not commit."""
         try:
             os.utime(claim.path)
             return True
@@ -602,6 +456,20 @@ class FilesystemBackend(QueueBackend):
         retry_base_seconds: float = 0.0,
         retry_cap_seconds: float = 60.0,
     ) -> str:
+        """Record a failed execution.
+
+        Returns ``"retried"`` (transient, attempts left: the task is
+        pending again with ``attempts`` incremented), ``"failed"``
+        (parked with its error durably recorded), or ``""`` (the claim
+        was stolen first — the thief owns the task's fate, and this
+        execution was lost, not failed).
+
+        With ``retry_base_seconds > 0`` a retried task carries a
+        durable not-before timestamp — :func:`retry_not_before` of the
+        task id and new attempt count — and :meth:`claim` refuses it
+        until that gate passes (``0`` keeps the immediate-retry
+        contract).
+        """
         attempts = self._claim_attempts(claim) + 1
         if transient and attempts < max_attempts:
             # Re-enqueue with the incremented counter (and the backoff
@@ -634,12 +502,14 @@ class FilesystemBackend(QueueBackend):
             except FileNotFoundError:
                 return ""
             return "retried"
-        # Park.  The state rename comes first: a claim that was already
-        # stolen returns lost without leaving a stray error record behind
-        # (the thief owns the task's fate now, and may well commit it).
-        try:
-            os.rename(claim.path, self._marker("failed", claim.task_id))
-        except FileNotFoundError:
+        # Park.  The error record lands before the state rename, so a
+        # worker killed between the two never leaves a parked task
+        # without its reason.  A claim already stolen writes nothing (the
+        # write would recreate the directory of a queue destroyed since).
+        # A record from a claim stolen after this check does no harm: it
+        # is only read for tasks in failed/, the thief's own park
+        # overwrites it, and reset clears it.
+        if not os.path.exists(claim.path):
             return ""
         atomic_write(
             self.error_path(claim.task_id),
@@ -651,6 +521,10 @@ class FilesystemBackend(QueueBackend):
                 }
             ).encode("utf-8"),
         )
+        try:
+            os.rename(claim.path, self._marker("failed", claim.task_id))
+        except FileNotFoundError:
+            return ""
         return "failed"
 
     def _claim_attempts(self, claim: TaskClaim) -> int:
@@ -661,13 +535,16 @@ class FilesystemBackend(QueueBackend):
             return claim.attempts
 
     def release(self, claim: TaskClaim) -> bool:
+        """Put a claimed task back to pending (graceful shutdown)."""
         try:
             os.rename(claim.path, self._marker("pending", claim.task_id))
             return True
         except FileNotFoundError:
             return False
 
-    def sweep_stale_lease(self, task_id: str, lease_name: str) -> None:
+    def sweep_stale_lease(self, lease_name: str) -> None:
+        """Drop a lease left behind by a worker that crashed between its
+        commit link and its lease cleanup."""
         self._unlink(self._marker("running", lease_name))
 
     @staticmethod
@@ -679,6 +556,7 @@ class FilesystemBackend(QueueBackend):
 
     # -- results --------------------------------------------------------
     def load_record(self, task_id: str) -> Optional[bytes]:
+        """The committed result record bytes (``None`` if absent)."""
         try:
             with open(self.result_path(task_id), "rb") as handle:
                 return handle.read()
@@ -686,6 +564,7 @@ class FilesystemBackend(QueueBackend):
             return None
 
     def load_raw(self, task_id: str) -> Optional[bytes]:
+        """The native-result fidelity pickle bytes (``None`` if absent)."""
         try:
             with open(self.raw_path(task_id), "rb") as handle:
                 return handle.read()
@@ -693,4 +572,5 @@ class FilesystemBackend(QueueBackend):
             return None
 
     def load_error(self, task_id: str) -> str:
+        """The recorded error text of a failed task ('' if absent)."""
         return str(self._read_json(self.error_path(task_id)).get("error", ""))

@@ -61,11 +61,6 @@ class Coordinator:
     lease_seconds, poll_seconds:
         Queue lease for claimed tasks and the coordinator's poll cadence
         (positive: zero would spin on the queue).
-    queue_backend:
-        ``"fs"`` (default) or ``"sqlite"`` — where the queue's durable
-        task state lives (see :mod:`repro.sched.backend`).  Results are
-        bitwise-identical either way; only failure-recovery semantics and
-        infrastructure assumptions differ.
     max_attempts:
         Executions a task gets before a *transient* failure parks it
         (``None``: the queue's default).
@@ -83,7 +78,6 @@ class Coordinator:
         shard_members: bool = False,
         lease_seconds: float = 30.0,
         poll_seconds: float = 0.2,
-        queue_backend: Optional[str] = None,
         max_attempts: Optional[int] = None,
         stall_seconds: Optional[float] = None,
     ) -> None:
@@ -101,15 +95,13 @@ class Coordinator:
         self.poll_seconds = float(poll_seconds)
         self.stall_seconds = stall_seconds
         # The queue namespace is invisible to store GC (see
-        # FileStore.namespace) and queue.db sits beside the objects tree
-        # GC walks, so task state can never be collected out from under a
-        # live run on either backend.
+        # FileStore.namespace), so task state can never be collected out
+        # from under a live run.
         session.cache.namespace("queue")
         queue_kwargs = {} if max_attempts is None else {"max_attempts": max_attempts}
         self.queue = TaskQueue.for_suite(
             session.cache.cache_dir,
             suite.name,
-            backend=queue_backend,
             lease_seconds=lease_seconds,
             **queue_kwargs,
         )
@@ -263,9 +255,8 @@ class Coordinator:
                 worker_id=f"coordinator:{os.getpid()}",
                 lease_seconds=self.queue.lease_seconds,
                 poll_seconds=self.poll_seconds,
-                # Serve exactly this run's queue: same backend, same
-                # retry budget and backoff, same stall policy.
-                queue_backend=self.queue.backend.name,
+                # Serve exactly this run's queue: same retry budget and
+                # backoff, same stall policy.
                 max_attempts=self.queue.max_attempts,
                 retry_base_seconds=self.queue.retry_base_seconds,
                 retry_cap_seconds=self.queue.retry_cap_seconds,

@@ -1,26 +1,16 @@
-"""Durable work queue for one suite: plan logic over a pluggable backend.
+"""Durable work queue for one suite: plan logic over the filesystem store.
 
 A :class:`TaskQueue` pairs the *plan* — the immutable task graph with its
 priorities, dependencies, and shard assembly order — with a
-:class:`~repro.sched.backend.QueueBackend` that makes the task lifecycle
-durable and race-free.  Everything graph-shaped (claim order, dependency
-gating, failure propagation, completion) lives here once and behaves
-identically on every backend; everything that must be atomic (claims,
-leases, commits, retries) is the backend's contract.
+:class:`~repro.sched.backend.FilesystemBackend` that makes the task
+lifecycle durable and race-free: atomic-rename claims and
+mtime-heartbeat leases under ``<cache_dir>/queue/<suite>/``.  Zero
+infrastructure: any worker that can see the directory can join.
+Everything graph-shaped (claim order, dependency gating, failure
+propagation, completion) lives here; everything that must be atomic
+(claims, leases, commits, retries) is the store's contract.
 
-Backends:
-
-* ``"fs"`` (default) — :class:`~repro.sched.backend.FilesystemBackend`,
-  atomic-rename claims and mtime-heartbeat leases under
-  ``<cache_dir>/queue/<suite>/``.  Zero infrastructure: any worker that
-  can see the directory can join.
-* ``"sqlite"`` — :class:`~repro.sched.sqlite.SqliteBackend`,
-  transactional claims in a WAL database at ``<cache_dir>/queue.db``.
-  Immune to clock skew between claimants and to network-filesystem
-  rename races; adds a per-task ``attempts`` counter persisted in the
-  same transaction as each state flip.
-
-The task lifecycle, identical on both::
+The task lifecycle::
 
                       claim                    commit
         pending ─────────────────▶ running ─────────────▶ done
@@ -35,7 +25,7 @@ The task lifecycle, identical on both::
                                  (terminal, error + attempts recorded)
 
 At-least-once execution is harmless (scope-addressed seeding makes
-re-execution bitwise-identical), so the one invariant every backend
+re-execution bitwise-identical), so the one invariant the store
 enforces is that the *commit* is exactly-once.
 """
 
@@ -44,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.spec import StudySpec, SuiteSpec
 from repro.engine.cache import dump_fidelity, load_fidelity_bytes
@@ -56,13 +46,7 @@ from repro.telemetry.instruments import (
     SCHED_RETRIES,
     SCHED_STEALS,
 )
-from repro.sched.backend import (
-    QUEUE_BACKENDS,
-    FilesystemBackend,
-    QueueBackend,
-    QueueState,
-    TaskClaim,
-)
+from repro.sched.backend import FilesystemBackend, QueueState, TaskClaim
 
 __all__ = [
     "QueueState",
@@ -161,53 +145,18 @@ class TaskRecord:
         )
 
 
-def _make_backend(
-    backend: Union[str, QueueBackend, None],
-    directory: str,
-    lease_seconds: float,
-) -> QueueBackend:
-    """Resolve a backend selector to an instance.
-
-    ``"fs"`` lives at ``directory`` itself; ``"sqlite"`` shares one
-    database next to the queue root (``<parent>/queue.db`` — for a
-    :meth:`TaskQueue.for_suite` directory of ``<cache>/queue/<suite>``
-    use :meth:`for_suite`, which places it at ``<cache>/queue.db``).
-    """
-    if isinstance(backend, QueueBackend):
-        return backend
-    if backend is None or backend == "fs":
-        return FilesystemBackend(directory, lease_seconds=lease_seconds)
-    if backend == "sqlite":
-        from repro.sched.sqlite import SqliteBackend  # local: keep fs light
-
-        parent = os.path.dirname(os.path.abspath(directory))
-        return SqliteBackend(
-            os.path.join(parent, "queue.db"),
-            os.path.basename(directory),
-            lease_seconds=lease_seconds,
-        )
-    raise ValueError(
-        f"queue backend must be one of {QUEUE_BACKENDS} or a QueueBackend "
-        f"instance, got {backend!r}"
-    )
-
-
 class TaskQueue:
     """Work queue for one suite (see the module docstring).
 
     Parameters
     ----------
     directory:
-        The queue's logical root, normally ``<cache_dir>/queue/<suite>``
-        (use :meth:`for_suite`).  The filesystem backend stores its state
-        here; other backends use it as the suite's identity (its basename
-        is the suite name).
+        Where the queue's state lives, normally
+        ``<cache_dir>/queue/<suite>`` (use :meth:`for_suite`); its
+        basename is the suite name.
     lease_seconds:
         Heartbeat lease: a running task whose lease has not been renewed
         for this long is considered abandoned and may be stolen.
-    backend:
-        ``"fs"`` (default), ``"sqlite"``, or a ready
-        :class:`~repro.sched.backend.QueueBackend` instance.
     max_attempts:
         Executions a task gets before a *transient* failure parks it
         (deterministic failures always park on the first).
@@ -226,7 +175,6 @@ class TaskQueue:
         directory: str,
         *,
         lease_seconds: float = 30.0,
-        backend: Union[str, QueueBackend, None] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         retry_base_seconds: float = DEFAULT_RETRY_BASE_SECONDS,
         retry_cap_seconds: float = DEFAULT_RETRY_CAP_SECONDS,
@@ -242,7 +190,7 @@ class TaskQueue:
         self.max_attempts = int(max_attempts)
         self.retry_base_seconds = float(retry_base_seconds)
         self.retry_cap_seconds = float(retry_cap_seconds)
-        self.backend = _make_backend(backend, self.directory, self.lease_seconds)
+        self.backend = FilesystemBackend(self.directory)
         self._plan: Optional[List[TaskRecord]] = None
         self._plan_stamp: Optional[Any] = None
 
@@ -250,81 +198,29 @@ class TaskQueue:
     def suite_name(self) -> str:
         return os.path.basename(self.directory)
 
-    @property
-    def key(self) -> str:
-        """Stable identity across backends (a worker may serve an fs and
-        a sqlite queue of the same suite side by side)."""
-        return f"{self.backend.name}:{self.directory}"
-
     @classmethod
     def for_suite(
-        cls,
-        cache_dir: str,
-        suite_name: str,
-        *,
-        backend: Union[str, QueueBackend, None] = None,
-        lease_seconds: float = 30.0,
-        **kwargs: Any,
+        cls, cache_dir: str, suite_name: str, **kwargs: Any
     ) -> "TaskQueue":
         """The queue of ``suite_name`` inside a shared ``cache_dir``.
 
-        ``"fs"`` state lives under ``<cache_dir>/queue/<suite>/``;
-        ``"sqlite"`` state lives in ``<cache_dir>/queue.db`` (one
-        database for every suite sharing the cache).  Both are invisible
-        to store GC, which only ever touches the ``objects`` tree.
+        Its state lives under ``<cache_dir>/queue/<suite>/``, which is
+        invisible to store GC (GC only ever touches the ``objects`` tree).
         """
-        directory = os.path.join(str(cache_dir), "queue", suite_name)
-        if backend == "sqlite":
-            from repro.sched.sqlite import SqliteBackend
-
-            backend = SqliteBackend(
-                os.path.join(str(cache_dir), "queue.db"),
-                suite_name,
-                lease_seconds=lease_seconds,
-            )
-        return cls(
-            directory,
-            lease_seconds=lease_seconds,
-            backend=backend,
-            **kwargs,
-        )
+        return cls(os.path.join(str(cache_dir), "queue", suite_name), **kwargs)
 
     @classmethod
-    def discover(
-        cls,
-        cache_dir: str,
-        *,
-        backend: Optional[str] = None,
-        **kwargs: Any,
-    ) -> List["TaskQueue"]:
-        """Every queue currently present under ``cache_dir``.
-
-        ``backend=None`` scans both homes — the ``queue/`` directory tree
-        and the ``queue.db`` database — so a worker fleet serves every
-        suite regardless of how its coordinator enqueued it.
-        """
-        queues: List[TaskQueue] = []
-        if backend in (None, "fs"):
-            root = os.path.join(str(cache_dir), "queue")
-            try:
-                names = sorted(
-                    entry.name for entry in os.scandir(root) if entry.is_dir()
-                )
-            except FileNotFoundError:
-                names = []
-            for name in names:
-                queue = cls.for_suite(cache_dir, name, backend="fs", **kwargs)
-                if queue.exists():
-                    queues.append(queue)
-        if backend in (None, "sqlite"):
-            from repro.sched.sqlite import SqliteBackend
-
-            db_path = os.path.join(str(cache_dir), "queue.db")
-            for name in SqliteBackend.discover_suites(db_path):
-                queues.append(
-                    cls.for_suite(cache_dir, name, backend="sqlite", **kwargs)
-                )
-        return queues
+    def discover(cls, cache_dir: str, **kwargs: Any) -> List["TaskQueue"]:
+        """Every queue currently present under ``cache_dir``."""
+        root = os.path.join(str(cache_dir), "queue")
+        try:
+            names = sorted(
+                entry.name for entry in os.scandir(root) if entry.is_dir()
+            )
+        except FileNotFoundError:
+            names = []
+        queues = [cls.for_suite(cache_dir, name, **kwargs) for name in names]
+        return [queue for queue in queues if queue.exists()]
 
     def exists(self) -> bool:
         return self.backend.exists()
@@ -341,7 +237,7 @@ class TaskQueue:
     ) -> None:
         """Durably enqueue ``tasks``.
 
-        The backend's ``create_plan`` guarantees the correctness story:
+        The store's ``create_plan`` guarantees the correctness story:
         a queue does not exist for workers until its plan lands, so a
         coordinator crash mid-enqueue never leaves a claimable
         half-queue, and the plan's presence guarantees every task has
@@ -386,7 +282,7 @@ class TaskQueue:
             ]
             if live:
                 raise RuntimeError(
-                    f"queue {self.backend.where()!r} tasks {sorted(live)} are "
+                    f"queue {self.directory!r} tasks {sorted(live)} are "
                     f"still leased by active workers; resume to join the "
                     f"running execution, or wait for the leases to expire"
                 )
@@ -421,13 +317,13 @@ class TaskQueue:
         return SuiteSpec.from_json(self.backend.read_suite())
 
     def plan(self, *, refresh: bool = False) -> List[TaskRecord]:
-        """The task graph, cached and keyed to the backend's plan stamp.
+        """The task graph, cached and keyed to the store's plan stamp.
 
         A plan is immutable for the lifetime of one enqueue, but a
         coordinator may legitimately *rebuild* an idle queue with a
-        changed plan (see :meth:`create`); the stamp check (one ``stat``
-        or indexed row read, no parse) lets long-lived workers cache the
-        parsed graph while still noticing the swap.
+        changed plan (see :meth:`create`); the stamp check (one ``stat``,
+        no parse) lets long-lived workers cache the parsed graph while
+        still noticing the swap.
         """
         stamp = self.backend.plan_stamp()
         if self._plan is None or refresh or stamp != self._plan_stamp:
@@ -439,7 +335,7 @@ class TaskQueue:
         return list(self._plan)
 
     def snapshot(self, *, detail: bool = False) -> QueueState:
-        """The backend's current view of every task's lifecycle state.
+        """The store's current view of every task's lifecycle state.
 
         ``detail=True`` additionally fills per-task attempt counts and
         running worker ids — the status read path behind
@@ -509,8 +405,7 @@ class TaskQueue:
         ]
         return {
             "suite": self.suite_name,
-            "backend": self.backend.name,
-            "location": self.backend.where(),
+            "location": self.directory,
             "lease_seconds": self.lease_seconds,
             "tasks": len(plan),
             "pending": len(state.pending),
@@ -579,7 +474,7 @@ class TaskQueue:
                     # its commit link and its cleanup unlink; harmless,
                     # sweep it so snapshots stay small.
                     name, _ = state.running[task.id]
-                    self.backend.sweep_stale_lease(task.id, name)
+                    self.backend.sweep_stale_lease(name)
                 continue
             if task.id in state.running:
                 _, age = state.running[task.id]
@@ -610,25 +505,24 @@ class TaskQueue:
         observed lease has expired — a steal.  Returns ``None`` when
         another worker won the race."""
         state = state or self.snapshot()
-        backend_name = getattr(self.backend, "name", "custom")
         if task.id in state.running:
             name, age = state.running[task.id]
             if age < self.lease_seconds:
                 return None
             stolen = self.backend.steal_expired(task.id, name, worker=worker)
             if stolen is not None:
-                SCHED_STEALS.labels(backend=backend_name).inc()
+                SCHED_STEALS.inc()
             else:
-                SCHED_CLAIMS.labels(backend=backend_name, outcome="lost").inc()
+                SCHED_CLAIMS.labels(outcome="lost").inc()
             return stolen
         gated = state.not_before.get(task.id, 0.0) > time.time()
         taken = self.backend.claim(task.id, worker=worker)
         if taken is not None:
-            SCHED_CLAIMS.labels(backend=backend_name, outcome="won").inc()
+            SCHED_CLAIMS.labels(outcome="won").inc()
         elif gated:
-            SCHED_BACKOFF_GATED.labels(backend=backend_name).inc()
+            SCHED_BACKOFF_GATED.inc()
         else:
-            SCHED_CLAIMS.labels(backend=backend_name, outcome="lost").inc()
+            SCHED_CLAIMS.labels(outcome="lost").inc()
         return taken
 
     def heartbeat(self, claim: TaskClaim) -> bool:
@@ -636,8 +530,7 @@ class TaskQueue:
         worker should abandon the execution and must not commit."""
         renewed = self.backend.heartbeat(claim)
         SCHED_LEASE_RENEWALS.labels(
-            backend=getattr(self.backend, "name", "custom"),
-            outcome="renewed" if renewed else "lost",
+            outcome="renewed" if renewed else "lost"
         ).inc()
         return renewed
 
@@ -661,8 +554,7 @@ class TaskQueue:
             raw_bytes = dump_fidelity(record.get("spec"), raw)
         committed = self.backend.commit(claim, record_bytes, raw_bytes)
         SCHED_COMMITS.labels(
-            backend=getattr(self.backend, "name", "custom"),
-            outcome="committed" if committed else "lost",
+            outcome="committed" if committed else "lost"
         ).inc()
         return committed
 
@@ -681,7 +573,7 @@ class TaskQueue:
         executions are spent, then parks.  A re-enqueued task carries a
         durable not-before gate per this queue's
         ``retry_base_seconds``/``retry_cap_seconds`` backoff policy and
-        is refused by every backend's claim until it passes.
+        is refused by :meth:`claim` until it passes.
         Deterministic failures
         (``transient=False`` — the default, matching the pre-retry
         contract) park immediately: re-running them would raise
@@ -704,8 +596,7 @@ class TaskQueue:
         )
         if disposition:
             SCHED_RETRIES.labels(
-                backend=getattr(self.backend, "name", "custom"),
-                kind="transient" if disposition == "retried" else "fatal",
+                kind="transient" if disposition == "retried" else "fatal"
             ).inc()
         return disposition
 

@@ -1,7 +1,7 @@
 """The claim-execute-commit loop behind ``python -m repro worker``.
 
-A :class:`Worker` polls the queues under one shared ``cache_dir`` — on
-any queue backend — claims the highest-priority runnable task
+A :class:`Worker` polls the queues under one shared ``cache_dir``,
+claims the highest-priority runnable task
 (dependencies committed, lease free), executes its
 :class:`~repro.api.spec.StudySpec` through a
 :class:`~repro.api.session.Session` bound to the *same* store — so every
@@ -18,8 +18,9 @@ and loses its lease to a healthy worker even though its process is still
 alive.  When a worker does lose its lease (a stall, or a long GC pause
 that let a thief in), the heartbeat thread notices the stolen claim and
 trips the study's cancellation event: the execution aborts at its next
-work item on every backend (process pools observe the event through the
-executor's relayed multiprocessing event), and nothing is committed.
+work item on every executor backend (process pools observe the event
+through the executor's relayed multiprocessing event), and nothing is
+committed.
 The thief re-runs the task to bitwise-identical results, so abandonment
 costs wall-clock, never correctness.
 
@@ -92,8 +93,7 @@ class Worker:
     Parameters
     ----------
     cache_dir:
-        The shared per-key store; filesystem queues live under
-        ``<cache_dir>/queue/``, sqlite queues in ``<cache_dir>/queue.db``.
+        The shared per-key store; queues live under ``<cache_dir>/queue/``.
     suite:
         Restrict to one suite's queue (default: work every queue found).
     worker_id:
@@ -101,10 +101,6 @@ class Worker:
     lease_seconds, poll_seconds:
         Heartbeat lease for claimed tasks, and how long to sleep when no
         task is claimable (positive: zero would spin on the queue).
-    queue_backend:
-        ``"fs"``, ``"sqlite"``, or ``None`` (default) to serve queues on
-        *both* backends — a fleet need not know how each coordinator
-        enqueued.
     max_attempts:
         Executions a task gets before a transient failure parks it.
     retry_base_seconds, retry_cap_seconds:
@@ -119,11 +115,10 @@ class Worker:
         unconditionally — the right choice for studies whose longest
         single work item can exceed any reasonable threshold.
     n_jobs, backend, batch_size:
-        Per-task *engine* overrides (``backend`` here is the executor
-        backend — serial/thread/process — not the queue backend;
-        ``batch_size`` groups compatible measurements into vectorized
-        multi-seed fits); default to each suite's own manifest
-        configuration.
+        Per-task *engine* overrides (``backend`` is the executor
+        backend — serial/thread/process; ``batch_size`` groups
+        compatible measurements into vectorized multi-seed fits); default
+        to each suite's own manifest configuration.
     log:
         Optional ``(event, task_id, detail)`` callback for streaming logs.
     session:
@@ -142,7 +137,6 @@ class Worker:
         worker_id: Optional[str] = None,
         lease_seconds: float = 30.0,
         poll_seconds: float = 0.5,
-        queue_backend: Optional[str] = None,
         max_attempts: Optional[int] = None,
         retry_base_seconds: Optional[float] = None,
         retry_cap_seconds: Optional[float] = None,
@@ -160,7 +154,6 @@ class Worker:
         if poll_seconds <= 0:
             raise ValueError("poll_seconds must be positive")
         self.poll_seconds = float(poll_seconds)
-        self.queue_backend = queue_backend
         self.max_attempts = max_attempts
         self.retry_base_seconds = retry_base_seconds
         self.retry_cap_seconds = retry_cap_seconds
@@ -189,9 +182,9 @@ class Worker:
         """The queues this worker serves (rescanned every poll, so suites
         enqueued after the worker started are picked up).
 
-        Instances are cached per backend+directory: the parsed plan then
-        survives across polls (``TaskQueue.plan`` re-reads only when the
-        backend's plan stamp changes), so a standing fleet doesn't
+        Instances are cached per directory: the parsed plan then survives
+        across polls (``TaskQueue.plan`` re-reads only when the plan
+        stamp changes), so a standing fleet doesn't
         re-parse every task spec on every idle scan.
         """
         kwargs: Dict[str, Any] = {"lease_seconds": self.lease_seconds}
@@ -201,9 +194,7 @@ class Worker:
             kwargs["retry_base_seconds"] = self.retry_base_seconds
         if self.retry_cap_seconds is not None:
             kwargs["retry_cap_seconds"] = self.retry_cap_seconds
-        found = TaskQueue.discover(
-            self.cache_dir, backend=self.queue_backend, **kwargs
-        )
+        found = TaskQueue.discover(self.cache_dir, **kwargs)
         if self.suite is not None:
             found = [
                 queue for queue in found if queue.suite_name == self.suite
@@ -211,16 +202,12 @@ class Worker:
         return [self._remember(queue) for queue in found]
 
     def _remember(self, queue: TaskQueue) -> TaskQueue:
-        # Keyed by backend *and* directory: an fs and a sqlite queue may
-        # legitimately serve the same suite name side by side.
-        if queue.key not in self._queues:
-            self._queues[queue.key] = queue
-        return self._queues[queue.key]
+        return self._queues.setdefault(queue.directory, queue)
 
     def _forget(self, queue: TaskQueue) -> None:
         """Drop a vanished queue entirely (instance cache and session)."""
-        self._queues.pop(queue.key, None)
-        self._last_member.pop(queue.key, None)
+        self._queues.pop(queue.directory, None)
+        self._last_member.pop(queue.directory, None)
         self._release_session(queue)
 
     def _release_session(self, queue: TaskQueue) -> None:
@@ -279,7 +266,7 @@ class Worker:
             try:
                 state = queue.snapshot()
                 candidates = queue.claimable(
-                    state, prefer_member=self._last_member.get(queue.key)
+                    state, prefer_member=self._last_member.get(queue.directory)
                 )
             except FileNotFoundError:
                 # The queue vanished between discovery and use (assembled
@@ -414,7 +401,7 @@ class Worker:
                 self.stats.committed += 1
                 # Remember the member for shard affinity: the next claim scan
                 # prefers this member's remaining shards.
-                self._last_member[queue.key] = task.member
+                self._last_member[queue.directory] = task.member
                 self._emit(
                     "commit", task.id, f"{result.elapsed_seconds:.2f}s"
                 )

@@ -222,8 +222,8 @@ class JobRegistry:
         The one shared :class:`~repro.api.session.Session`; must be bound
         to a ``cache_dir`` (suites enqueue into it, and every client's
         results live in its store).
-    queue_backend, shard_members, lease_seconds, poll_seconds,
-    max_attempts, stall_seconds:
+    shard_members, lease_seconds, poll_seconds, max_attempts,
+    stall_seconds:
         Scheduler configuration applied to every suite job (see
         :class:`~repro.sched.coordinator.Coordinator`).
     participate:
@@ -235,7 +235,6 @@ class JobRegistry:
         self,
         session: Session,
         *,
-        queue_backend: Optional[str] = None,
         shard_members: bool = False,
         participate: bool = True,
         lease_seconds: float = 30.0,
@@ -249,7 +248,6 @@ class JobRegistry:
                 "and therefore requires a session bound to a cache_dir"
             )
         self.session = session
-        self.queue_backend = queue_backend
         self.shard_members = bool(shard_members)
         self.participate = bool(participate)
         self.lease_seconds = float(lease_seconds)
@@ -342,7 +340,6 @@ class JobRegistry:
                 shard_members=self.shard_members,
                 lease_seconds=self.lease_seconds,
                 poll_seconds=self.poll_seconds,
-                queue_backend=self.queue_backend,
                 max_attempts=self.max_attempts,
                 stall_seconds=self.stall_seconds,
             )

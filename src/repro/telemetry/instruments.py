@@ -96,32 +96,30 @@ RUNNER_ITEMS = REGISTRY.counter(
 SCHED_CLAIMS = REGISTRY.counter(
     "repro_sched_claims",
     "Task claim attempts by outcome.",
-    labelnames=("backend", "outcome"),  # won | lost
+    labelnames=("outcome",),  # won | lost
 )
 SCHED_STEALS = REGISTRY.counter(
     "repro_sched_steals",
     "Expired-lease tasks stolen.",
-    labelnames=("backend",),
 )
 SCHED_RETRIES = REGISTRY.counter(
     "repro_sched_retries",
     "Failed executions re-enqueued (transient) vs parked (fatal).",
-    labelnames=("backend", "kind"),  # transient | fatal
+    labelnames=("kind",),  # transient | fatal
 )
 SCHED_LEASE_RENEWALS = REGISTRY.counter(
     "repro_sched_lease_renewals",
     "Heartbeat outcomes.",
-    labelnames=("backend", "outcome"),  # renewed | lost
+    labelnames=("outcome",),  # renewed | lost
 )
 SCHED_BACKOFF_GATED = REGISTRY.counter(
     "repro_sched_backoff_gated",
     "Claim attempts refused by a not-before backoff gate.",
-    labelnames=("backend",),
 )
 SCHED_COMMITS = REGISTRY.counter(
     "repro_sched_commits",
     "Commit outcomes (a lost commit means the task was stolen).",
-    labelnames=("backend", "outcome"),  # committed | lost
+    labelnames=("outcome",),  # committed | lost
 )
 WORKER_EVENTS = REGISTRY.counter(
     "repro_worker_events",

@@ -276,7 +276,6 @@ class TestReportCommand:
 
 
 BACKENDS = ("serial", "thread", "process")
-QUEUES = ("fs", "sqlite")
 STORE, FLAG = "_StoreAction", "_StoreTrueAction"
 
 #: The CLI's interface contract, which scripts and CI jobs depend on:
@@ -306,7 +305,6 @@ INTERFACE = {
             "--log-level": (None, None, None, STORE),
             "--max-attempts": (None, "int", None, STORE),
             "--n-jobs": (None, "int", None, STORE),
-            "--queue-backend": (None, None, QUEUES, STORE),
             "--resume": (False, None, None, FLAG),
             "--shard-members": (False, None, None, FLAG),
             "--stall-seconds": (None, "float", None, STORE),
@@ -324,7 +322,6 @@ INTERFACE = {
             "--max-tasks": (None, "int", None, STORE),
             "--n-jobs": (None, "int", None, STORE),
             "--poll-seconds": (0.5, "float", None, STORE),
-            "--queue-backend": (None, None, QUEUES, STORE),
             "--stall-seconds": (None, "float", None, STORE),
             "--suite": (None, None, None, STORE),
             "--timeout": (None, "float", None, STORE),
@@ -336,7 +333,6 @@ INTERFACE = {
         {
             "--json": (False, None, None, FLAG),
             "--lease-seconds": (30.0, "float", None, STORE),
-            "--queue-backend": (None, None, QUEUES, STORE),
             "--suite": (None, None, None, STORE),
         },
     ),
@@ -361,7 +357,6 @@ INTERFACE = {
             "--n-jobs": (None, "int", None, STORE),
             "--no-participate": (False, None, None, FLAG),
             "--port": (8321, "int", None, STORE),
-            "--queue-backend": (None, None, QUEUES, STORE),
             "--quiet": (False, None, None, FLAG),
             "--shard-members": (False, None, None, FLAG),
             "--stall-seconds": (None, "float", None, STORE),

@@ -35,7 +35,8 @@ class TestPublicAPI:
 
     def test_cli_and_registry_start_without_scipy(self):
         # Every CLI call, worker and pool child pays for what `import
-        # repro` loads; scipy is imported only where it is called.
+        # repro` loads; scipy is imported only where it is called, and
+        # the scheduler only by the commands that run it.
         script = textwrap.dedent(
             """
             import sys
@@ -46,7 +47,11 @@ class TestPublicAPI:
             for name in list_studies():
                 get_study(name)
             smoke_suite().validate()
-            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            print(sorted(
+                m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "sqlite3", "_sqlite3")
+                or m == "repro.sched" or m.startswith("repro.sched.")
+            ))
             """
         )
         source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

@@ -10,6 +10,7 @@ tests/test_report.py``.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -233,7 +234,7 @@ class TestWriteSuiteReports:
         session = Session.for_suite(_suite(tmp_path))
         session.run_suite(_suite(tmp_path))
         _, first_paths = write_suite_reports(str(tmp_path), "prov-suite")
-        snapshots = {path: open(path, "rb").read() for path in first_paths}
+        snapshots = {path: Path(path).read_bytes() for path in first_paths}
         _, second_paths = write_suite_reports(str(tmp_path), "prov-suite")
         assert second_paths == first_paths
         for path in first_paths:
@@ -310,7 +311,7 @@ class TestCrossPathParity:
             names = [member["name"] for member in payload["members"]]
             assert names == ["zeta", "alpha"]
             indexes[cache_dir] = {
-                os.path.basename(path): open(path, "rb").read()
+                os.path.basename(path): Path(path).read_bytes()
                 for path in paths
                 if os.path.basename(path).startswith("index.")
             }

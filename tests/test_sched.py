@@ -6,14 +6,12 @@ Queue invariants are pinned at three levels:
   stealing, exactly-once commit (a stale claim can never double-commit),
   dependency gating and priority order, bounded retries for transient
   failures, all property-tested over random task graphs with simulated
-  workers — and all parameterized over both queue backends (the
-  filesystem rename/lease store and the transactional sqlite store),
-  which must be behaviourally indistinguishable through ``TaskQueue``;
+  workers;
 * **system** — K real workers (threads and subprocesses) cooperatively
   executing a suite against one shared cache dir produce a
   ``SuiteResult`` bitwise-identical to the in-process path, including
   after a worker is SIGKILLed mid-task (its leased tasks are stolen and
-  completed), on both backends;
+  completed);
 * **spec** — ``priority``/``depends_on`` round-trip through the manifest
   JSON, ``schedule_order`` is a priority-respecting topological order,
   and dependency cycles are rejected at ``SuiteSpec.validate()`` with an
@@ -34,13 +32,7 @@ from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.api import Session, StudySpec, SuiteSpec
-from repro.sched import (
-    Coordinator,
-    SqliteBackend,
-    TaskQueue,
-    TaskRecord,
-    Worker,
-)
+from repro.sched import Coordinator, TaskQueue, TaskRecord, Worker
 from repro.sched.backend import retry_not_before
 
 ANALYTIC = StudySpec(study="sample_size", params={"gammas": [0.7]})
@@ -86,22 +78,15 @@ def _queue_suite(graph):
     )
 
 
-@pytest.fixture(params=["fs", "sqlite"])
-def queue_backend(request):
-    """Protocol tests run once per backend: the two stores must be
-    behaviourally indistinguishable through ``TaskQueue``."""
-    return request.param
-
-
-def _make_queue(tmp_path, backend, **kwargs):
+def _make_queue(tmp_path, **kwargs):
     kwargs.setdefault("lease_seconds", 30)
-    return TaskQueue(str(tmp_path / "q"), backend=backend, **kwargs)
+    return TaskQueue(str(tmp_path / "q"), **kwargs)
 
 
 @pytest.fixture(scope="session")
 def reference_rows(tmp_path_factory):
     """One in-process reference run of MEMBERS shared by every bitwise
-    comparison (the ground truth is backend-independent by construction)."""
+    comparison."""
     return _reference_rows(tmp_path_factory.mktemp("reference"))
 
 
@@ -109,8 +94,8 @@ def reference_rows(tmp_path_factory):
 # Protocol: claims, leases, stealing, exactly-once commit
 # ----------------------------------------------------------------------
 class TestTaskQueueProtocol:
-    def test_claim_is_exclusive_under_races(self, tmp_path, queue_backend):
-        queue = _make_queue(tmp_path, queue_backend)
+    def test_claim_is_exclusive_under_races(self, tmp_path):
+        queue = _make_queue(tmp_path)
         graph = {"solo": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         task = queue.plan()[0]
@@ -131,10 +116,8 @@ class TestTaskQueueProtocol:
         assert len(claims) == 1
         assert queue.snapshot().running.keys() == {"solo"}
 
-    def test_lease_expiry_enables_steal_and_blocks_stale_commit(
-        self, tmp_path, queue_backend
-    ):
-        queue = _make_queue(tmp_path, queue_backend, lease_seconds=0.2)
+    def test_lease_expiry_enables_steal_and_blocks_stale_commit(self, tmp_path):
+        queue = _make_queue(tmp_path, lease_seconds=0.2)
         graph = {"solo": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         task = queue.plan()[0]
@@ -157,8 +140,8 @@ class TestTaskQueueProtocol:
         assert state.done == {"solo"} and not state.running
         assert queue.complete()
 
-    def test_dependency_gating_and_priority_order(self, tmp_path, queue_backend):
-        queue = _make_queue(tmp_path, queue_backend)
+    def test_dependency_gating_and_priority_order(self, tmp_path):
+        queue = _make_queue(tmp_path)
         graph = {"low": (), "high": (), "gated": ("low",)}
         queue.create(
             _queue_suite(graph), _tasks(graph, priorities={"high": 5})
@@ -170,10 +153,8 @@ class TestTaskQueueProtocol:
         assert queue.commit(claim, {"rows": []})
         assert [t.id for t in queue.claimable()] == ["high", "gated"]
 
-    def test_failed_dependency_blocks_dependents_but_completes(
-        self, tmp_path, queue_backend
-    ):
-        queue = _make_queue(tmp_path, queue_backend)
+    def test_failed_dependency_blocks_dependents_but_completes(self, tmp_path):
+        queue = _make_queue(tmp_path)
         graph = {"boom": (), "after": ("boom",), "free": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         boom = next(t for t in queue.plan() if t.id == "boom")
@@ -188,14 +169,12 @@ class TestTaskQueueProtocol:
         assert queue.complete()
         assert "synthetic" in queue.load_error("boom")
 
-    def test_failed_shard_dooms_siblings_out_of_claimable(
-        self, tmp_path, queue_backend
-    ):
+    def test_failed_shard_dooms_siblings_out_of_claimable(self, tmp_path):
         # One shard of a member fails deterministically: the member can
         # never assemble, so its surviving shards must stop being claimed
         # (they would burn compute for a result the run already discarded)
         # and the queue must still reach completion.
-        queue = _make_queue(tmp_path, queue_backend)
+        queue = _make_queue(tmp_path)
         tasks = [
             TaskRecord(id="m@0", member="m", spec=ANALYTIC, index=0),
             TaskRecord(id="m@1", member="m", spec=ANALYTIC, index=1),
@@ -206,10 +185,8 @@ class TestTaskQueueProtocol:
         assert queue.claimable() == []
         assert queue.complete()
 
-    def test_release_requeues_and_resume_create_keeps_completions(
-        self, tmp_path, queue_backend
-    ):
-        queue = _make_queue(tmp_path, queue_backend)
+    def test_release_requeues_and_resume_create_keeps_completions(self, tmp_path):
+        queue = _make_queue(tmp_path)
         graph = {"a": (), "b": ()}
         suite = _queue_suite(graph)
         tasks = _tasks(graph)
@@ -225,11 +202,11 @@ class TestTaskQueueProtocol:
         state = queue.snapshot()
         assert state.done == {"a"} and state.pending == {"b"}
 
-    def test_fresh_create_wipes_same_plan_completions(self, tmp_path, queue_backend):
+    def test_fresh_create_wipes_same_plan_completions(self, tmp_path):
         # Without keep_completed (a no-resume re-run), an identical idle
         # queue is rebuilt: every task runs again, matching the
         # in-process no-resume contract.
-        queue = _make_queue(tmp_path, queue_backend)
+        queue = _make_queue(tmp_path)
         graph = {"a": ()}
         suite = _queue_suite(graph)
         tasks = _tasks(graph)
@@ -239,8 +216,8 @@ class TestTaskQueueProtocol:
         state = queue.snapshot()
         assert state.done == set() and state.pending == {"a"}
 
-    def test_changed_plan_rebuilds_idle_queue(self, tmp_path, queue_backend):
-        queue = _make_queue(tmp_path, queue_backend)
+    def test_changed_plan_rebuilds_idle_queue(self, tmp_path):
+        queue = _make_queue(tmp_path)
         graph = {"a": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         claim = queue.claim(queue.plan()[0], worker="w")
@@ -252,8 +229,8 @@ class TestTaskQueueProtocol:
         # for a changed plan) and both tasks are pending again.
         assert state.done == set() and state.pending == {"a", "b"}
 
-    def test_changed_plan_refused_while_leased(self, tmp_path, queue_backend):
-        queue = _make_queue(tmp_path, queue_backend)
+    def test_changed_plan_refused_while_leased(self, tmp_path):
+        queue = _make_queue(tmp_path)
         graph = {"a": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         assert queue.claim(queue.plan()[0], worker="w") is not None
@@ -266,9 +243,7 @@ class TestTaskQueueProtocol:
     def test_simulated_fleet_commits_every_task_exactly_once(self, data, tmp_path_factory):
         """Random DAG + racing simulated workers with crash injection:
         every task commits exactly once, dependencies always commit before
-        dependents, and the queue reaches completion — on a randomly drawn
-        backend, so both stores face the same adversarial schedules."""
-        backend = data.draw(st.sampled_from(["fs", "sqlite"]), label="backend")
+        dependents, and the queue reaches completion."""
         n_tasks = data.draw(st.integers(min_value=1, max_value=6), label="n_tasks")
         members = [f"t{i}" for i in range(n_tasks)]
         graph = {
@@ -290,9 +265,7 @@ class TestTaskQueueProtocol:
             for member in members
         }
         directory = tmp_path_factory.mktemp("fleet")
-        queue = TaskQueue(
-            str(directory / "q"), lease_seconds=0.05, backend=backend
-        )
+        queue = TaskQueue(str(directory / "q"), lease_seconds=0.05)
         queue.create(_queue_suite(graph), _tasks(graph, priorities=priorities))
         commits = []
         commit_lock = threading.Lock()
@@ -346,15 +319,11 @@ class TestTaskQueueProtocol:
 # Protocol: bounded retries
 # ----------------------------------------------------------------------
 class TestRetryLifecycle:
-    def test_transient_failure_requeues_with_attempts_until_exhausted(
-        self, tmp_path, queue_backend
-    ):
+    def test_transient_failure_requeues_with_attempts_until_exhausted(self, tmp_path):
         # retry_base_seconds=0: this test exercises the attempts budget,
         # not the backoff gate (TestRetryBackoff covers that), so retried
         # tasks must be claimable immediately.
-        queue = _make_queue(
-            tmp_path, queue_backend, max_attempts=3, retry_base_seconds=0
-        )
+        queue = _make_queue(tmp_path, max_attempts=3, retry_base_seconds=0)
         graph = {"flaky": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         for attempt in range(2):
@@ -373,10 +342,8 @@ class TestRetryLifecycle:
         assert "blip" in queue.load_error("flaky")
         assert queue.complete()
 
-    def test_deterministic_failure_parks_on_first_attempt(
-        self, tmp_path, queue_backend
-    ):
-        queue = _make_queue(tmp_path, queue_backend, max_attempts=3)
+    def test_deterministic_failure_parks_on_first_attempt(self, tmp_path):
+        queue = _make_queue(tmp_path, max_attempts=3)
         graph = {"boom": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         claim = queue.claim(queue.claimable()[0], worker="w")
@@ -386,12 +353,10 @@ class TestRetryLifecycle:
         assert state.failed == {"boom"} and state.attempts["boom"] == 1
         assert "bad params" in queue.load_error("boom")
 
-    def test_steals_do_not_consume_the_retry_budget(
-        self, tmp_path, queue_backend
-    ):
+    def test_steals_do_not_consume_the_retry_budget(self, tmp_path):
         # Crash recovery must stay unbounded: a task bounced between dying
         # workers is the lease's business, not the retry counter's.
-        queue = _make_queue(tmp_path, queue_backend, lease_seconds=0.1, max_attempts=2)
+        queue = _make_queue(tmp_path, lease_seconds=0.1, max_attempts=2)
         graph = {"solo": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         for _ in range(4):  # more abandonments than max_attempts
@@ -403,16 +368,13 @@ class TestRetryLifecycle:
         assert queue.commit(claim, {"rows": []})
         assert queue.snapshot().done == {"solo"}
 
-    def test_backoff_gate_defers_then_admits_a_retry(
-        self, tmp_path, queue_backend
-    ):
+    def test_backoff_gate_defers_then_admits_a_retry(self, tmp_path):
         # The full lifecycle on a short real clock: a transient failure
         # re-enqueues behind a durable not-before gate, claims are refused
         # while it holds (the task is pending, not failed), and the gate
-        # admits the retry once it passes — on both backends.
+        # admits the retry once it passes.
         queue = _make_queue(
             tmp_path,
-            queue_backend,
             max_attempts=3,
             retry_base_seconds=0.3,
             retry_cap_seconds=0.6,
@@ -437,20 +399,18 @@ class TestRetryLifecycle:
         assert queue.commit(claim, {"rows": []})
         assert queue.snapshot().done == {"flaky"}
 
-    def test_release_is_not_gated_by_backoff(self, tmp_path, queue_backend):
+    def test_release_is_not_gated_by_backoff(self, tmp_path):
         # A graceful release is not a failure: the task must be claimable
         # again immediately, with no backoff residue from the claim.
-        queue = _make_queue(
-            tmp_path, queue_backend, retry_base_seconds=60.0
-        )
+        queue = _make_queue(tmp_path, retry_base_seconds=60.0)
         graph = {"solo": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         claim = queue.claim(queue.plan()[0], worker="w")
         assert queue.release(claim)
         assert queue.claim(queue.plan()[0], worker="w") is not None
 
-    def test_stale_claim_cannot_fail_a_stolen_task(self, tmp_path, queue_backend):
-        queue = _make_queue(tmp_path, queue_backend, lease_seconds=0.1)
+    def test_stale_claim_cannot_fail_a_stolen_task(self, tmp_path):
+        queue = _make_queue(tmp_path, lease_seconds=0.1)
         graph = {"solo": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         stale = queue.claim(queue.plan()[0], worker="crasher")
@@ -460,8 +420,39 @@ class TestRetryLifecycle:
         # The stale holder's failure report is void: the thief owns the
         # task's fate now ("" = lost, falsy — the pre-retry contract).
         assert queue.fail(stale, "OSError: late", transient=True) == ""
+        assert queue.fail(stale, "ValueError: late") == ""
         assert queue.commit(thief, {"rows": []})
         assert queue.snapshot().done == {"solo"}
+        assert queue.load_error("solo") == ""
+
+    def test_crash_right_after_parking_keeps_the_failure_reason(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker killed right after it renamed the task into failed/
+        # must not leave a parked task without its error record.
+        queue = _make_queue(tmp_path)
+        graph = {"a": ()}
+        queue.create(_queue_suite(graph), _tasks(graph))
+        claim = queue.claim(queue.plan()[0], worker="w")
+
+        class Killed(BaseException):
+            pass
+
+        rename = os.rename
+
+        def rename_then_die(source, target):
+            rename(source, target)
+            if os.path.basename(os.path.dirname(target)) == "failed":
+                raise Killed
+
+        monkeypatch.setattr(os, "rename", rename_then_die)
+        with pytest.raises(Killed):
+            queue.fail(claim, "ValueError: boom")
+        monkeypatch.undo()
+        state = queue.snapshot(detail=True)
+        assert state.failed == {"a"}
+        assert queue.load_error("a") == "ValueError: boom"
+        assert state.attempts == {"a": 1}
 
 
 # ----------------------------------------------------------------------
@@ -518,14 +509,14 @@ class TestRetryBackoffPolicy:
 
 
 # ----------------------------------------------------------------------
-# Backend specifics
+# On-disk layout
 # ----------------------------------------------------------------------
 class TestBackendSpecifics:
     def test_filesystem_layout_is_preserved(self, tmp_path):
-        # PR 5's on-disk contract, byte for byte: queues enqueued before
-        # the backend seam existed must remain readable, and external
-        # tooling that inspects the directory must keep working.
-        queue = TaskQueue(str(tmp_path / "q"), lease_seconds=30, backend="fs")
+        # The on-disk contract, byte for byte: queues enqueued by earlier
+        # versions must remain readable, and external tooling that
+        # inspects the directory must keep working.
+        queue = TaskQueue(str(tmp_path / "q"), lease_seconds=30)
         graph = {"a": (), "b": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         root = tmp_path / "q"
@@ -547,90 +538,6 @@ class TestBackendSpecifics:
         reread = TaskQueue(str(root), lease_seconds=30)
         assert reread.snapshot().done == {"a"}
         assert reread.load_record("a") == {"rows": []}
-
-    def test_sqlite_concurrent_writers_share_one_wal_database(self, tmp_path):
-        # Many writers, each with its OWN connection (as separate worker
-        # processes would be), hammering one WAL database: busy-timeout
-        # absorbs lock contention, every task commits exactly once, and
-        # no writer ever sees "database is locked".
-        graph = {f"t{i}": () for i in range(12)}
-        suite = _queue_suite(graph)
-        enqueuer = _make_queue(tmp_path, "sqlite")
-        enqueuer.create(suite, _tasks(graph))
-        db_path = str(tmp_path / "queue.db")
-        n_workers = 6
-        commits = []
-        errors = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(n_workers)
-
-        def worker(worker_id):
-            backend = SqliteBackend(db_path, "q", lease_seconds=30)
-            queue = TaskQueue(str(tmp_path / "q"), backend=backend)
-            barrier.wait()
-            try:
-                idle = 0
-                while idle < 100:
-                    state = queue.snapshot()
-                    if queue.complete(state):
-                        return
-                    progressed = False
-                    for task in queue.claimable(state):
-                        claim = queue.claim(task, worker=worker_id, state=state)
-                        if claim is None:
-                            continue
-                        progressed = True
-                        if queue.commit(claim, {"task": task.id}):
-                            with lock:
-                                commits.append(task.id)
-                        break
-                    if not progressed:
-                        idle += 1
-                        time.sleep(0.005)
-            except Exception as error:  # noqa: BLE001 - recorded for assert
-                with lock:
-                    errors.append(error)
-
-        threads = [
-            threading.Thread(target=worker, args=(f"w{i}",))
-            for i in range(n_workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-        assert sorted(commits) == sorted(graph)  # exactly once each
-        assert enqueuer.complete()
-
-    def test_sqlite_state_survives_reopen(self, tmp_path):
-        # Durability across connections: a brand-new TaskQueue over the
-        # same database (a worker on another host) sees identical state.
-        queue = _make_queue(tmp_path, "sqlite")
-        graph = {"a": (), "b": ()}
-        queue.create(_queue_suite(graph), _tasks(graph))
-        claim = queue.claim(queue.plan()[0], worker="w")
-        assert queue.commit(claim, {"rows": [1, 2]})
-        reopened = _make_queue(tmp_path, "sqlite")
-        state = reopened.snapshot()
-        assert state.done == {"a"} and state.pending == {"b"}
-        assert reopened.load_record("a") == {"rows": [1, 2]}
-        assert [t.id for t in reopened.plan()] == ["a", "b"]
-
-    def test_discover_finds_queues_on_both_backends(self, tmp_path):
-        fs_queue = TaskQueue.for_suite(str(tmp_path), "alpha", backend="fs")
-        sq_queue = TaskQueue.for_suite(str(tmp_path), "beta", backend="sqlite")
-        graph = {"a": ()}
-        for queue, name in ((fs_queue, "alpha"), (sq_queue, "beta")):
-            suite = SuiteSpec(name=name, specs=[("a", ANALYTIC)])
-            queue.create(suite, _tasks(graph))
-        found = {
-            (queue.backend.name, queue.suite_name)
-            for queue in TaskQueue.discover(str(tmp_path))
-        }
-        assert found == {("fs", "alpha"), ("sqlite", "beta")}
-        only_sqlite = TaskQueue.discover(str(tmp_path), backend="sqlite")
-        assert [queue.suite_name for queue in only_sqlite] == ["beta"]
 
 
 # ----------------------------------------------------------------------
@@ -742,13 +649,13 @@ class TestSchedulingSpec:
 @pytest.mark.slow
 class TestDistributedExecution:
     def test_three_worker_threads_match_in_process_bitwise(
-        self, tmp_path, queue_backend, reference_rows
+        self, tmp_path, reference_rows
     ):
         reference = reference_rows
         suite = _suite(tmp_path / "store")
         with Session.for_suite(suite) as session:
             coordinator = Coordinator(
-                session, suite, poll_seconds=0.05, queue_backend=queue_backend
+                session, suite, poll_seconds=0.05
             )
             coordinator.enqueue()
             workers = [
@@ -847,18 +754,15 @@ class TestDistributedExecution:
             ("replay", "fig1-variance", 2, 3),
         ]
 
-    def test_resume_skips_queue_and_restores_native_attributes(
-        self, tmp_path, queue_backend
-    ):
-        # Cold on the parameterized backend (raw pickles round-trip
-        # through its commit/load_raw path), resume on the same one.
+    def test_resume_skips_queue_and_restores_native_attributes(self, tmp_path):
+        # Cold (raw pickles round-trip through the queue's
+        # commit/load_raw path), then resume.
         suite = _suite(tmp_path / "store")
         with Session.for_suite(suite) as session:
             cold = session.run_suite(
                 suite,
                 distributed=True,
                 poll_seconds=0.05,
-                queue_backend=queue_backend,
             )
         with Session.for_suite(suite) as session:
             resumed = session.run_suite(
@@ -866,7 +770,6 @@ class TestDistributedExecution:
                 distributed=True,
                 resume=True,
                 poll_seconds=0.05,
-                queue_backend=queue_backend,
             )
         assert resumed.replayed == suite.names
         for name in suite.names:
@@ -921,7 +824,7 @@ class TestDistributedExecution:
 
     @pytest.mark.skipif(os.name != "posix", reason="SIGKILL semantics")
     def test_sigkilled_worker_tasks_are_stolen_and_completed(
-        self, tmp_path, queue_backend, reference_rows
+        self, tmp_path, reference_rows
     ):
         reference = reference_rows
         suite = _suite(tmp_path / "store")
@@ -935,7 +838,6 @@ class TestDistributedExecution:
                 suite,
                 lease_seconds=1.0,
                 poll_seconds=0.05,
-                queue_backend=queue_backend,
             )
             coordinator.enqueue()
             victim = subprocess.Popen(
@@ -966,8 +868,7 @@ class TestDistributedExecution:
         for name in suite.names:
             assert _rows(result[name]) == reference[name], name
         # The assembled run mirrored its results into completion records
-        # and destroyed its spent queue (the fs directory is gone; the
-        # sqlite rows are deleted).
+        # and destroyed its spent queue directory.
         assert not coordinator.queue.exists()
         records = tmp_path / "store" / "suites" / suite.name
         for name in suite.names:
@@ -999,9 +900,9 @@ class _FlakySession:
         pass
 
 
-def _single_task_queue(store, name, *, backend, **kwargs):
+def _single_task_queue(store, name, **kwargs):
     suite = SuiteSpec(name=name, specs=[("m", ANALYTIC)], cache_dir=str(store))
-    queue = TaskQueue.for_suite(str(store), name, backend=backend, **kwargs)
+    queue = TaskQueue.for_suite(str(store), name, **kwargs)
     queue.create(
         suite, [TaskRecord(id="m", member="m", spec=ANALYTIC, index=0)]
     )
@@ -1010,17 +911,14 @@ def _single_task_queue(store, name, *, backend, **kwargs):
 
 @pytest.mark.slow
 class TestWorkerLifecycle:
-    def test_transient_error_completes_on_a_later_attempt(
-        self, tmp_path, queue_backend
-    ):
+    def test_transient_error_completes_on_a_later_attempt(self, tmp_path):
         # Acceptance: an OSError on attempt 1 must not park the task —
         # it re-enqueues and a later attempt commits the real result.
         store = tmp_path / "store"
-        queue = _single_task_queue(store, "flaky", backend=queue_backend)
+        queue = _single_task_queue(store, "flaky")
         with Session(cache_dir=str(store)) as session:
             worker = Worker(
                 str(store),
-                queue_backend=queue_backend,
                 poll_seconds=0.01,
                 session=_FlakySession(session, OSError("synthetic blip")),
             )
@@ -1031,17 +929,14 @@ class TestWorkerLifecycle:
         assert state.done == {"m"} and state.attempts["m"] == 1
         assert queue.load_record("m") is not None
 
-    def test_deterministic_error_parks_exactly_once(
-        self, tmp_path, queue_backend
-    ):
+    def test_deterministic_error_parks_exactly_once(self, tmp_path):
         # Acceptance: a deterministic failure parks on the first attempt
         # (re-running would raise identically) with attempts recorded.
         store = tmp_path / "store"
-        queue = _single_task_queue(store, "doomed", backend=queue_backend)
+        queue = _single_task_queue(store, "doomed")
         with Session(cache_dir=str(store)) as session:
             worker = Worker(
                 str(store),
-                queue_backend=queue_backend,
                 poll_seconds=0.01,
                 session=_FlakySession(
                     session, ValueError("bad config"), n_failures=10
@@ -1054,17 +949,14 @@ class TestWorkerLifecycle:
         assert state.failed == {"m"} and state.attempts["m"] == 1
         assert "bad config" in queue.load_error("m")
 
-    def test_transient_budget_exhaustion_parks_with_full_history(
-        self, tmp_path, queue_backend
-    ):
+    def test_transient_budget_exhaustion_parks_with_full_history(self, tmp_path):
         store = tmp_path / "store"
         queue = _single_task_queue(
-            store, "hopeless", backend=queue_backend, max_attempts=2
+            store, "hopeless", max_attempts=2
         )
         with Session(cache_dir=str(store)) as session:
             worker = Worker(
                 str(store),
-                queue_backend=queue_backend,
                 max_attempts=2,
                 poll_seconds=0.01,
                 session=_FlakySession(
@@ -1077,9 +969,7 @@ class TestWorkerLifecycle:
         assert state.failed == {"m"} and state.attempts["m"] == 2
         assert "still down" in queue.load_error("m")
 
-    def test_stalled_task_loses_lease_and_is_stolen_by_healthy_worker(
-        self, tmp_path, queue_backend
-    ):
+    def test_stalled_task_loses_lease_and_is_stolen_by_healthy_worker(self, tmp_path):
         # The progress-coupled heartbeat: a worker whose study hangs
         # (alive process, zero progress ticks) stops renewing its lease,
         # a healthy worker steals and completes the task, and the hung
@@ -1087,7 +977,7 @@ class TestWorkerLifecycle:
         # not failed.
         store = tmp_path / "store"
         queue = _single_task_queue(
-            store, "stall", backend=queue_backend, lease_seconds=0.4
+            store, "stall", lease_seconds=0.4
         )
         release = threading.Event()
         claimed = threading.Event()
@@ -1105,7 +995,6 @@ class TestWorkerLifecycle:
 
         hung = Worker(
             str(store),
-            queue_backend=queue_backend,
             lease_seconds=0.4,
             stall_seconds=0.2,
             poll_seconds=0.01,
@@ -1119,7 +1008,6 @@ class TestWorkerLifecycle:
             with Session(cache_dir=str(store)) as session:
                 healthy = Worker(
                     str(store),
-                    queue_backend=queue_backend,
                     lease_seconds=0.4,
                     poll_seconds=0.02,
                     worker_id="healthy",
@@ -1177,8 +1065,6 @@ class TestWorkerCLI:
                 session.run_suite(suite, shard_members=True)
             with pytest.raises(ValueError, match="timeout"):
                 session.run_suite(suite, timeout=10.0)
-            with pytest.raises(ValueError, match="queue_backend"):
-                session.run_suite(suite, queue_backend="sqlite")
             with pytest.raises(ValueError, match="max_attempts"):
                 session.run_suite(suite, max_attempts=5)
             with pytest.raises(ValueError, match="stall_seconds"):
@@ -1191,8 +1077,6 @@ class TestWorkerCLI:
         assert "--shard-members requires --distributed" in capsys.readouterr().err
         assert main(["suite", str(manifest), "--lease-seconds", "5"]) == 2
         assert "--lease-seconds requires --distributed" in capsys.readouterr().err
-        assert main(["suite", str(manifest), "--queue-backend", "sqlite"]) == 2
-        assert "--queue-backend requires --distributed" in capsys.readouterr().err
         assert main(["suite", str(manifest), "--max-attempts", "2"]) == 2
         assert "--max-attempts requires --distributed" in capsys.readouterr().err
         assert main(["suite", str(manifest), "--stall-seconds", "5"]) == 2
@@ -1224,42 +1108,32 @@ class TestWorkerCLI:
         )
         assert "--max-attempts must be at least 1" in capsys.readouterr().err
 
-    def test_queue_status_reports_both_backends(self, tmp_path, capsys):
+    def test_queue_status_reports_every_suite(self, tmp_path, capsys):
         store = tmp_path / "store"
-        for backend, name in (("fs", "alpha"), ("sqlite", "beta")):
-            _single_task_queue(store, name, backend=backend)
-        claimer = TaskQueue.for_suite(str(store), "alpha", backend="fs")
+        for name in ("alpha", "beta"):
+            _single_task_queue(store, name)
+        claimer = TaskQueue.for_suite(str(store), "alpha")
         assert claimer.claim(claimer.plan()[0], worker="w9") is not None
         assert main(["queue", str(store), "--json"]) == 0
         reports = json.loads(capsys.readouterr().out)
         by_suite = {report["suite"]: report for report in reports}
         assert set(by_suite) == {"alpha", "beta"}
-        assert by_suite["alpha"]["backend"] == "fs"
-        assert by_suite["beta"]["backend"] == "sqlite"
         assert by_suite["alpha"]["running"] == 1
         assert by_suite["alpha"]["leases"][0]["worker"] == "w9"
         assert by_suite["beta"]["pending"] == 1 and by_suite["beta"]["tasks"] == 1
         # Human-readable rendering carries the same facts.
         assert main(["queue", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "alpha [fs]" in out and "beta [sqlite]" in out
+        assert "alpha — in progress" in out and "beta — in progress" in out
         assert "running m" in out and "worker=w9" in out
-        # Filters narrow by suite and by backend.
+        # The filter narrows by suite.
         assert main(["queue", str(store), "--suite", "beta", "--json"]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert [report["suite"] for report in reports] == ["beta"]
-        assert (
-            main(["queue", str(store), "--queue-backend", "fs", "--json"]) == 0
-        )
-        reports = json.loads(capsys.readouterr().out)
-        assert [report["suite"] for report in reports] == ["alpha"]
 
     def test_queue_status_shows_failures_with_attempts(self, tmp_path, capsys):
         store = tmp_path / "store"
-        queue = _single_task_queue(
-            store, "bad", backend="sqlite", max_attempts=2,
-            retry_base_seconds=0,
-        )
+        queue = _single_task_queue(store, "bad", max_attempts=2, retry_base_seconds=0)
         claim = queue.claim(queue.plan()[0], worker="w")
         assert queue.fail(claim, "OSError: blip", transient=True) == "retried"
         claim = queue.claim(queue.plan()[0], worker="w")
@@ -1317,8 +1191,8 @@ def _sharded_tasks():
 
 
 class TestShardAffinity:
-    def test_prefer_member_front_runs_its_shards(self, tmp_path, queue_backend):
-        queue = _make_queue(tmp_path, queue_backend)
+    def test_prefer_member_front_runs_its_shards(self, tmp_path):
+        queue = _make_queue(tmp_path)
         queue.create(
             SuiteSpec(name="q", specs=[("a", ANALYTIC), ("b", ANALYTIC)]),
             _sharded_tasks(),
@@ -1334,8 +1208,8 @@ class TestShardAffinity:
             "a@0", "a@1", "b@0", "b@1",
         ]
 
-    def test_prefer_member_none_is_the_legacy_order(self, tmp_path, queue_backend):
-        queue = _make_queue(tmp_path, queue_backend)
+    def test_prefer_member_none_is_the_legacy_order(self, tmp_path):
+        queue = _make_queue(tmp_path)
         queue.create(
             SuiteSpec(name="q", specs=[("a", ANALYTIC), ("b", ANALYTIC)]),
             _sharded_tasks(),
@@ -1346,10 +1220,10 @@ class TestShardAffinity:
         unknown = [t.id for t in queue.claimable(state, prefer_member="ghost")]
         assert default == explicit_none == unknown
 
-    def test_priority_outranks_affinity(self, tmp_path, queue_backend):
+    def test_priority_outranks_affinity(self, tmp_path):
         # Affinity is a tie-break *within* a priority tier, never a way to
         # starve higher-priority work.
-        queue = _make_queue(tmp_path, queue_backend)
+        queue = _make_queue(tmp_path)
         tasks = [
             TaskRecord(id="cold@0", member="cold", spec=ANALYTIC, index=0),
             TaskRecord(
@@ -1365,9 +1239,7 @@ class TestShardAffinity:
             "hot", "cold@0", "cold@1",
         ]
 
-    def test_worker_sticks_to_last_committed_member(
-        self, tmp_path, queue_backend
-    ):
+    def test_worker_sticks_to_last_committed_member(self, tmp_path):
         # A worker that just committed a@0 claims a@1 next (sibling shard,
         # warm dataset/cache) even though b@0 precedes it in plan order.
         store = tmp_path / "store"
@@ -1376,17 +1248,16 @@ class TestShardAffinity:
             specs=[("a", ANALYTIC), ("b", ANALYTIC)],
             cache_dir=str(store),
         )
-        queue = TaskQueue.for_suite(str(store), "aff", backend=queue_backend)
+        queue = TaskQueue.for_suite(str(store), "aff")
         queue.create(suite, _sharded_tasks())
         with Session(cache_dir=str(store)) as session:
             worker = Worker(
                 str(store),
-                queue_backend=queue_backend,
                 poll_seconds=0.01,
                 session=session,
             )
             assert worker.step()
-            assert worker._last_member[queue.key] == "a"
+            assert worker._last_member[queue.directory] == "a"
             assert worker.step()
         assert queue.snapshot().done == {"a@0", "a@1"}
         assert worker.stats.committed == 2

@@ -154,6 +154,7 @@ class TestPlainEndpoints:
             for path in ("/nope", "/v1/nope", "/v1/jobs/study-99"):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     _get(server, path)
+                excinfo.value.close()
                 assert excinfo.value.code == 404
 
     def test_queue_endpoint_is_empty_list_when_idle(self, tmp_path):
@@ -357,6 +358,7 @@ class TestSuiteJobs:
             ):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     _get(server, path)
+                excinfo.value.close()
                 assert excinfo.value.code == 404
 
     def test_undecodable_member_record_is_404(self, tmp_path):

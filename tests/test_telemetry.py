@@ -638,6 +638,7 @@ class TestServeTelemetry:
         with serving(tmp_path) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get_raw(server, "/v1/telemetry/spans?limit=bogus")
+            excinfo.value.close()
             assert excinfo.value.code == 400
 
 
