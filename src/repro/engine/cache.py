@@ -67,7 +67,6 @@ __all__ = [
     "atomic_write",
     "dump_fidelity",
     "load_fidelity",
-    "load_fidelity_bytes",
     "measurement_key",
 ]
 
@@ -100,17 +99,7 @@ def load_fidelity(path: str, spec: Any) -> Any:
     """
     try:
         with open(path, "rb") as handle:
-            blob = handle.read()
-    except Exception:  # noqa: BLE001 - stale/foreign pickles degrade
-        return None
-    return load_fidelity_bytes(blob, spec)
-
-
-def load_fidelity_bytes(blob: bytes, spec: Any) -> Any:
-    """:func:`load_fidelity` for payloads not stored as files (queue
-    backends that keep fidelity blobs in a database row)."""
-    try:
-        payload = pickle.loads(blob)
+            payload = pickle.load(handle)
     except Exception:  # noqa: BLE001 - stale/foreign pickles degrade
         return None
     if not isinstance(payload, dict) or payload.get("spec") != spec:

@@ -5,14 +5,13 @@ for every variance source — makes figure regeneration embarrassingly
 parallel but wall-clock-expensive.  This package turns the single-process
 suite runner into a multi-worker (and multi-host) system:
 
-* :mod:`repro.sched.backend` — :class:`FilesystemBackend`, the durable
-  task lifecycle (claim, heartbeat, commit, fail with bounded retries,
-  steal-on-expiry) as atomic-rename claims and mtime-heartbeat leases
-  under ``<cache_dir>/queue/<suite>/`` — zero infrastructure;
 * :mod:`repro.sched.queue` — :class:`TaskQueue`, the queue of one suite:
-  plan caching, dependency gating, priority order, failure propagation —
-  so a stale worker can never double-commit and a transient failure
-  re-enqueues instead of parking forever;
+  the plan (dependency gating, priority order, failure propagation) and
+  the durable task lifecycle (claim, heartbeat, commit, fail with
+  bounded retries, steal-on-expiry) as atomic-rename claims and
+  mtime-heartbeat leases under ``<cache_dir>/queue/<suite>/`` — zero
+  infrastructure, so a stale worker can never double-commit and a
+  transient failure re-enqueues instead of parking forever;
 * :mod:`repro.sched.worker` — :class:`Worker`, the claim-execute-commit
   loop behind ``python -m repro worker <cache_dir>``, with lease renewal
   coupled to study progress so a hung task loses its lease;
@@ -29,14 +28,12 @@ identical rows, so the only thing the queue must make unique is the
 *commit* — the claim token gates it.
 """
 
-from repro.sched.backend import FilesystemBackend
 from repro.sched.coordinator import Coordinator
 from repro.sched.queue import QueueState, TaskClaim, TaskQueue, TaskRecord
 from repro.sched.worker import Worker, WorkerStats
 
 __all__ = [
     "Coordinator",
-    "FilesystemBackend",
     "QueueState",
     "TaskClaim",
     "TaskQueue",

@@ -255,11 +255,9 @@ class Coordinator:
                 worker_id=f"coordinator:{os.getpid()}",
                 lease_seconds=self.queue.lease_seconds,
                 poll_seconds=self.poll_seconds,
-                # Serve exactly this run's queue: same retry budget and
-                # backoff, same stall policy.
+                # Serve exactly this run's queue: same retry budget, same
+                # stall policy.
                 max_attempts=self.queue.max_attempts,
-                retry_base_seconds=self.queue.retry_base_seconds,
-                retry_cap_seconds=self.queue.retry_cap_seconds,
                 stall_seconds=self.stall_seconds,
                 # Execute through the coordinator's own session, so its
                 # cache warms (and its statistics see) the work this
@@ -482,7 +480,8 @@ class Coordinator:
             )
             raise RuntimeError(
                 f"distributed suite {self.suite.name!r} failed: {details} "
-                f"(full tracebacks: {self.queue.backend.errors_where()})"
+                f"(full tracebacks: "
+                f"{os.path.join(self.queue.directory, 'errors')})"
             )
         results: Dict[str, StudyResult] = {}
         records_dir = self.session._suite_records_dir(self.suite)

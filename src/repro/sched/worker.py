@@ -103,10 +103,6 @@ class Worker:
         task is claimable (positive: zero would spin on the queue).
     max_attempts:
         Executions a task gets before a transient failure parks it.
-    retry_base_seconds, retry_cap_seconds:
-        Retry-backoff policy applied when this worker fails a task
-        transiently (``None``: the queue's default — exponential backoff
-        with deterministic jitter; ``0`` retries immediately).
     stall_seconds:
         Couple lease renewal to study progress: when the running study
         emits no progress event for this long, the heartbeat thread stops
@@ -138,8 +134,6 @@ class Worker:
         lease_seconds: float = 30.0,
         poll_seconds: float = 0.5,
         max_attempts: Optional[int] = None,
-        retry_base_seconds: Optional[float] = None,
-        retry_cap_seconds: Optional[float] = None,
         stall_seconds: Optional[float] = None,
         n_jobs: Optional[int] = None,
         backend: Optional[str] = None,
@@ -155,8 +149,6 @@ class Worker:
             raise ValueError("poll_seconds must be positive")
         self.poll_seconds = float(poll_seconds)
         self.max_attempts = max_attempts
-        self.retry_base_seconds = retry_base_seconds
-        self.retry_cap_seconds = retry_cap_seconds
         if stall_seconds is not None and stall_seconds <= 0:
             raise ValueError("stall_seconds must be positive (or None)")
         self.stall_seconds = stall_seconds
@@ -190,10 +182,6 @@ class Worker:
         kwargs: Dict[str, Any] = {"lease_seconds": self.lease_seconds}
         if self.max_attempts is not None:
             kwargs["max_attempts"] = self.max_attempts
-        if self.retry_base_seconds is not None:
-            kwargs["retry_base_seconds"] = self.retry_base_seconds
-        if self.retry_cap_seconds is not None:
-            kwargs["retry_cap_seconds"] = self.retry_cap_seconds
         found = TaskQueue.discover(self.cache_dir, **kwargs)
         if self.suite is not None:
             found = [
@@ -251,7 +239,7 @@ class Worker:
     # Execution
     # ------------------------------------------------------------------
     def _emit(self, event: str, task_id: str, detail: str = "") -> None:
-        WORKER_EVENTS.labels(worker=self.worker_id, event=event).inc()
+        WORKER_EVENTS.labels(event=event).inc()
         if self.log is not None:
             self.log(event, task_id, detail)
 

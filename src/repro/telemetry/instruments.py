@@ -123,8 +123,10 @@ SCHED_COMMITS = REGISTRY.counter(
 )
 WORKER_EVENTS = REGISTRY.counter(
     "repro_worker_events",
-    "Per-worker task lifecycle events (claim/steal/commit/retry/...).",
-    labelnames=("worker", "event"),
+    "Worker task lifecycle events (claim/steal/commit/retry/...).",
+    # No worker label: each process has its own registry, so the scrape
+    # target already names the worker.
+    labelnames=("event",),
 )
 
 # -- serve --------------------------------------------------------------

@@ -30,10 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sched.queue
 from repro.__main__ import main
 from repro.api import Session, StudySpec, SuiteSpec
+from repro.engine.cache import dump_fidelity
 from repro.sched import Coordinator, TaskQueue, TaskRecord, Worker
-from repro.sched.backend import retry_not_before
+from repro.sched.queue import retry_not_before
+from repro.telemetry import set_enabled
+from repro.telemetry.instruments import SCHED_BACKOFF_GATED, SCHED_CLAIMS
 
 ANALYTIC = StudySpec(study="sample_size", params={"gammas": [0.7]})
 
@@ -81,6 +85,14 @@ def _queue_suite(graph):
 def _make_queue(tmp_path, **kwargs):
     kwargs.setdefault("lease_seconds", 30)
     return TaskQueue(str(tmp_path / "q"), **kwargs)
+
+
+@pytest.fixture
+def telemetry_on():
+    """Count metrics even when the run sets ``REPRO_TELEMETRY=0``."""
+    previous = set_enabled(True)
+    yield
+    set_enabled(previous)
 
 
 @pytest.fixture(scope="session")
@@ -319,11 +331,14 @@ class TestTaskQueueProtocol:
 # Protocol: bounded retries
 # ----------------------------------------------------------------------
 class TestRetryLifecycle:
-    def test_transient_failure_requeues_with_attempts_until_exhausted(self, tmp_path):
-        # retry_base_seconds=0: this test exercises the attempts budget,
+    def test_transient_failure_requeues_with_attempts_until_exhausted(
+        self, tmp_path, monkeypatch
+    ):
+        # RETRY_BASE_SECONDS=0: this test exercises the attempts budget,
         # not the backoff gate (TestRetryBackoff covers that), so retried
         # tasks must be claimable immediately.
-        queue = _make_queue(tmp_path, max_attempts=3, retry_base_seconds=0)
+        monkeypatch.setattr(repro.sched.queue, "RETRY_BASE_SECONDS", 0.0)
+        queue = _make_queue(tmp_path, max_attempts=3)
         graph = {"flaky": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         for attempt in range(2):
@@ -368,17 +383,14 @@ class TestRetryLifecycle:
         assert queue.commit(claim, {"rows": []})
         assert queue.snapshot().done == {"solo"}
 
-    def test_backoff_gate_defers_then_admits_a_retry(self, tmp_path):
+    def test_backoff_gate_defers_then_admits_a_retry(self, tmp_path, monkeypatch):
         # The full lifecycle on a short real clock: a transient failure
         # re-enqueues behind a durable not-before gate, claims are refused
         # while it holds (the task is pending, not failed), and the gate
         # admits the retry once it passes.
-        queue = _make_queue(
-            tmp_path,
-            max_attempts=3,
-            retry_base_seconds=0.3,
-            retry_cap_seconds=0.6,
-        )
+        monkeypatch.setattr(repro.sched.queue, "RETRY_BASE_SECONDS", 0.3)
+        monkeypatch.setattr(repro.sched.queue, "RETRY_CAP_SECONDS", 0.6)
+        queue = _make_queue(tmp_path, max_attempts=3)
         graph = {"flaky": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         claim = queue.claim(queue.plan()[0], worker="w")
@@ -399,15 +411,34 @@ class TestRetryLifecycle:
         assert queue.commit(claim, {"rows": []})
         assert queue.snapshot().done == {"flaky"}
 
-    def test_release_is_not_gated_by_backoff(self, tmp_path):
+    def test_release_is_not_gated_by_backoff(self, tmp_path, monkeypatch):
         # A graceful release is not a failure: the task must be claimable
         # again immediately, with no backoff residue from the claim.
-        queue = _make_queue(tmp_path, retry_base_seconds=60.0)
+        monkeypatch.setattr(repro.sched.queue, "RETRY_BASE_SECONDS", 60.0)
+        queue = _make_queue(tmp_path)
         graph = {"solo": ()}
         queue.create(_queue_suite(graph), _tasks(graph))
         claim = queue.claim(queue.plan()[0], worker="w")
         assert queue.release(claim)
         assert queue.claim(queue.plan()[0], worker="w") is not None
+
+    def test_gated_claim_counts_as_backoff_not_lost(
+        self, tmp_path, monkeypatch, telemetry_on
+    ):
+        # A worker claims from a plain snapshot, which carries no backoff
+        # gates: the refusal must still count where the gate is read.
+        monkeypatch.setattr(repro.sched.queue, "RETRY_BASE_SECONDS", 60.0)
+        queue = _make_queue(tmp_path)
+        graph = {"flaky": ()}
+        queue.create(_queue_suite(graph), _tasks(graph))
+        claim = queue.claim(queue.plan()[0], worker="w")
+        assert queue.fail(claim, "OSError: blip", transient=True) == "retried"
+        gated = SCHED_BACKOFF_GATED.value()
+        lost = SCHED_CLAIMS.value(outcome="lost")
+        state = queue.snapshot()
+        assert queue.claim(queue.claimable(state)[0], worker="w", state=state) is None
+        assert SCHED_BACKOFF_GATED.value() == gated + 1
+        assert SCHED_CLAIMS.value(outcome="lost") == lost
 
     def test_stale_claim_cannot_fail_a_stolen_task(self, tmp_path):
         queue = _make_queue(tmp_path, lease_seconds=0.1)
@@ -538,6 +569,27 @@ class TestBackendSpecifics:
         reread = TaskQueue(str(root), lease_seconds=30)
         assert reread.snapshot().done == {"a"}
         assert reread.load_record("a") == {"rows": []}
+
+    @pytest.mark.parametrize("damage", ["corrupt", "foreign"])
+    def test_unusable_raw_pickle_degrades_to_the_record(self, tmp_path, damage):
+        # The native-result pickle is best-effort: when it is unreadable,
+        # or was written for another spec, load_raw returns None and the
+        # JSON record stays authoritative.
+        queue = _make_queue(tmp_path)
+        graph = {"a": ()}
+        queue.create(_queue_suite(graph), _tasks(graph))
+        record = {"spec": ANALYTIC.to_dict(), "rows": [{"x": 1}]}
+        claim = queue.claim(queue.plan()[0], worker="w")
+        assert queue.commit(claim, record, raw={"native": 1})
+        assert queue.load_raw("a", ANALYTIC) == {"native": 1}
+        raw_path = tmp_path / "q" / "results" / "a.raw.pkl"
+        if damage == "corrupt":
+            raw_path.write_bytes(b"not a pickle")
+        else:
+            other = ANALYTIC.replace(random_state=7)
+            raw_path.write_bytes(dump_fidelity(other.to_dict(), {"native": 1}))
+        assert queue.load_raw("a", ANALYTIC) is None
+        assert queue.load_record("a") == json.loads(json.dumps(record))
 
 
 # ----------------------------------------------------------------------
@@ -1131,9 +1183,12 @@ class TestWorkerCLI:
         reports = json.loads(capsys.readouterr().out)
         assert [report["suite"] for report in reports] == ["beta"]
 
-    def test_queue_status_shows_failures_with_attempts(self, tmp_path, capsys):
+    def test_queue_status_shows_failures_with_attempts(
+        self, tmp_path, capsys, monkeypatch
+    ):
         store = tmp_path / "store"
-        queue = _single_task_queue(store, "bad", max_attempts=2, retry_base_seconds=0)
+        monkeypatch.setattr(repro.sched.queue, "RETRY_BASE_SECONDS", 0.0)
+        queue = _single_task_queue(store, "bad", max_attempts=2)
         claim = queue.claim(queue.plan()[0], worker="w")
         assert queue.fail(claim, "OSError: blip", transient=True) == "retried"
         claim = queue.claim(queue.plan()[0], worker="w")

@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.api import Session, StudySpec, get_study
+from repro.api import Session, StudySpec, SuiteSpec, get_study
+from repro.sched import TaskQueue, TaskRecord, Worker
 from repro.serve import StudyServer
 from repro.serve.jobs import Job, JobRegistry
 from repro.telemetry import (
@@ -34,6 +35,7 @@ from repro.telemetry import (
     suite_trace_context,
     trace,
 )
+from repro.telemetry.instruments import WORKER_EVENTS
 from repro.telemetry.log import get_logger, resolve_level, setup_logging
 from repro.telemetry.metrics import Counter, Gauge, Histogram
 from repro.telemetry.tracing import (
@@ -234,6 +236,41 @@ class TestMetrics:
         assert counter.value() == 0
         assert gauge.value() == 0
         assert hist.snapshot()["count"] == 0
+
+    def test_worker_events_keep_one_series_per_event(self, tmp_path):
+        # Each process has its own registry, so a per-worker label would
+        # add series without adding information: two workers in one
+        # process share each event's series.
+        store = tmp_path / "store"
+        members = ("a", "b")
+        suite = SuiteSpec(
+            name="events",
+            specs=[(member, ANALYTIC) for member in members],
+            cache_dir=str(store),
+        )
+        queue = TaskQueue.for_suite(str(store), suite.name)
+        queue.create(
+            suite,
+            [
+                TaskRecord(id=member, member=member, spec=ANALYTIC, index=index)
+                for index, member in enumerate(members)
+            ],
+        )
+        before = WORKER_EVENTS.value(event="commit")
+        for worker_id in ("w1", "w2"):
+            worker = Worker(str(store), worker_id=worker_id, poll_seconds=0.01)
+            try:
+                assert worker.step()
+            finally:
+                worker.close()
+        assert WORKER_EVENTS.value(event="commit") == before + 2
+        series = [
+            line
+            for line in WORKER_EVENTS.render().splitlines()
+            if not line.startswith("#")
+        ]
+        for event in ("claim", "commit"):
+            assert len([line for line in series if f'event="{event}"' in line]) == 1
 
 
 # ---------------------------------------------------------------------------
