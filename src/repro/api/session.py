@@ -134,22 +134,8 @@ class _RunCacheView:
         self.inner.record_hit()
         self.hits += 1
 
-    def put(self, key: str, measurement) -> None:
-        self.evictions += self.inner.put(key, measurement)
-
     def put_many(self, pairs) -> None:
-        # Batched commits (StudyRunner groups measurements) keep the same
-        # per-run eviction attribution as N individual puts.
         self.evictions += self.inner.put_many(pairs)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.inner
-
-    def stats(self):
-        return self.inner.stats()
 
 
 class StudyHandle:
@@ -486,26 +472,21 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """Shut down the submit pool and the executors' process pools, and
-        refresh the index of every per-key store this session wrote to.
+        """Shut down the submit pool and the executors' process pools.
 
         Submitted studies finish first; then every executor's worker
-        processes exit.  Entries were written through at put time, so no
-        measurement waits on close.  Blocking :meth:`run` stays usable
-        after close; its first process batch forks a new pool.
+        processes exit.  Entries were written through at put time, so
+        close writes nothing to any per-key store.  Blocking :meth:`run`
+        stays usable after close; its first process batch forks a new pool.
         """
         with self._lock:
             pool, self._pool = self._pool, None
             self._closed = True
-            spec_caches = list(self._spec_caches.values())
             executors = list(self._executors.values())
         if pool is not None:
             pool.shutdown(wait=True)
         for executor in executors:
             executor.close()
-        for cache in (self.cache, *spec_caches):
-            if cache.cache_dir is not None:
-                cache.save()
 
     def _executor_for(self, n_jobs: int, backend: str) -> ParallelExecutor:
         with self._lock:

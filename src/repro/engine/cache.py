@@ -18,7 +18,7 @@ bitwise identical to recomputation.  The cache is thread-safe and can be
 persisted to disk so expensive studies survive process restarts, as a
 content-addressed per-key file store (``cache_dir=...``, backed by
 :class:`FileStore`): one file per measurement hash, written through
-atomically via temp-file + rename on every put, plus a small JSON index.
+atomically via temp-file + rename on every put, and nothing else.
 Because every write lands under its own content hash and a key's value
 is a pure function of the key, any number of shard workers — or whole
 sessions, or eventually hosts — can share one ``cache_dir`` without
@@ -209,6 +209,12 @@ def measurement_key(
     return hashlib.sha256(blob).hexdigest()
 
 
+#: Age after which an orphaned ``.tmp`` file in the object tree counts as
+#: crash debris that :meth:`FileStore.gc` may sweep; live writers rename
+#: theirs within milliseconds.
+TMP_GRACE_SECONDS = 3600.0
+
+
 def _check_budgets(max_bytes: Optional[int], max_entries: Optional[int]) -> None:
     """Reject a zero or negative budget: it would empty the store."""
     if max_bytes is not None and max_bytes < 1:
@@ -223,15 +229,15 @@ class FileStore:
     Layout::
 
         <directory>/objects/<key[:2]>/<key>.pkl   # one pickle per key
-        <directory>/index.json                    # advisory key -> size map
         <directory>/<namespace>/...               # subsystem state (suites/,
                                                   # queue/) — see namespace()
 
     Writes go to a temp file in the destination directory followed by
     :func:`os.replace`, so a reader never observes a torn entry and
     concurrent writers of the same key are both atomic (identical bytes,
-    last rename wins).  The index is purely advisory — :meth:`keys` scans
-    the object tree, so a stale or missing index never loses entries.
+    last rename wins).  The object tree is the store's only record of
+    what it holds: :meth:`keys` and :meth:`gc` scan it, and a file beside
+    it (such as the ``index.json`` older versions wrote) is ignored.
 
     Parameters
     ----------
@@ -239,17 +245,16 @@ class FileStore:
         Root of the store (created on demand).
     max_bytes, max_entries:
         Optional garbage-collection budgets over the on-disk object tree.
-        When set, every :meth:`write` is followed by a :meth:`gc` pass that
-        deletes least-recently-used entries (a :meth:`read` refreshes an
-        entry's file mtime, so recency survives process restarts) until the
-        tree is back within budget.  The most recently used entry is never
-        deleted, so a single oversized measurement still persists.  Budgets
-        are enforced against the *scanned* tree, which makes them safe
-        under concurrent writers sharing the directory: whichever writer
-        finishes last prunes whatever the others landed.
+        When set, a :meth:`write_many` that takes the tree over budget is
+        followed by a :meth:`gc` pass that deletes least-recently-used
+        entries (a :meth:`read` refreshes an entry's file mtime, so recency
+        survives process restarts) until the tree is back within budget.
+        The most recently used entry is never deleted, so a single
+        oversized measurement still persists.  Budgets are enforced
+        against the *scanned* tree, which makes them safe under concurrent
+        writers sharing the directory: whichever writer finishes last
+        prunes whatever the others landed.
     """
-
-    INDEX_NAME = "index.json"
 
     def __init__(
         self,
@@ -269,10 +274,8 @@ class FileStore:
         self._objects = os.path.join(self.directory, "objects")
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        #: Lifetime GC counters for this store instance, for cache stats.
+        #: Entries this store instance's gc passes removed, for cache stats.
         self.removed_entries = 0
-        self.removed_bytes = 0
-        self.removed_tmp = 0
         # Running over-estimate of the tree (seeded by the first gc scan);
         # lets budgeted writes skip the full scan while clearly under
         # budget.  Guarded by a lock: one store may serve many threads.
@@ -330,58 +333,23 @@ class FileStore:
             pass
         return measurement
 
-    #: Kept as a static-method alias so store subclasses/tests can reuse it.
-    _atomic_write = staticmethod(atomic_write)
-
     def write(self, key: str, measurement: "Measurement") -> int:
-        """Atomically persist one entry; returns its pickled size.
-
-        When GC budgets are configured the write also maintains a running
-        over-estimate of the tree's size and, whenever that estimate
-        crosses a budget, runs a :meth:`gc` pass (which rescans precisely
-        and prunes) protecting the entry just written — so the object tree
-        never stays over budget past the put that pushed it there, without
-        paying a full tree scan for puts into a store that is far under
-        budget.
-        """
-        blob = pickle.dumps(measurement, protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_write(self._path(key), blob)
-        STORE_ROUND_TRIPS.labels(op="write").inc()
-        STORE_BYTES.labels(op="write").inc(len(blob))
-        if self.max_bytes is None and self.max_entries is None:
-            return len(blob)
-        with self._gc_lock:
-            if self._approx_bytes is None:
-                run_gc = True  # first budgeted write: seed from a real scan
-            else:
-                # Over-estimate: overwrites count at full size and other
-                # writers' deletions are ignored, so for this instance's
-                # own puts the estimate never undercounts the tree.
-                self._approx_bytes += len(blob)
-                self._approx_entries += 1
-                run_gc = (
-                    self.max_bytes is not None
-                    and self._approx_bytes > self.max_bytes
-                ) or (
-                    self.max_entries is not None
-                    and self._approx_entries > self.max_entries
-                )
-        if run_gc:
-            self.gc(protect=key)
-        return len(blob)
+        """Persist one entry, a batch of one; returns its pickled size."""
+        return self.write_many([(key, measurement)])[0]
 
     def write_many(
         self, entries: Sequence[Tuple[str, "Measurement"]]
     ) -> List[int]:
         """Atomically persist N entries under one GC bookkeeping pass.
 
-        Per-measurement :meth:`write` updates the budget estimate — and
-        potentially runs a full :meth:`gc` tree scan — once per entry;
-        batched study commits land B measurements at a time, so this
-        variant writes every entry first and then updates the estimate
-        (and runs at most *one* gc pass, protecting the batch's last key)
-        in a single locked step.  Returns each entry's pickled size, in
-        order.
+        The store's one write path.  Every entry is written first; then,
+        when GC budgets are configured, one locked step adds the batch to
+        a running over-estimate of the tree's size and, if that crosses a
+        budget, runs a :meth:`gc` pass (which rescans precisely and
+        prunes) protecting the batch's last key.  The tree therefore never
+        stays over budget past the batch that pushed it there, and a store
+        far under budget pays no tree scan per write.  Returns each
+        entry's pickled size, in order.
         """
         entries = list(entries)
         if not entries:
@@ -399,6 +367,9 @@ class FileStore:
             if self._approx_bytes is None:
                 run_gc = True  # first budgeted write: seed from a real scan
             else:
+                # Over-estimate: overwrites count at full size and other
+                # writers' deletions are ignored, so for this instance's
+                # own writes the estimate never undercounts the tree.
                 self._approx_bytes += sum(sizes)
                 self._approx_entries += len(sizes)
                 run_gc = (
@@ -417,15 +388,7 @@ class FileStore:
 
     def keys(self) -> List[str]:
         """Every key persisted in the store (scans the object tree)."""
-        found: List[str] = []
-        for shard in sorted(os.listdir(self._objects)):
-            shard_dir = os.path.join(self._objects, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".pkl"):
-                    found.append(name[: -len(".pkl")])
-        return found
+        return [key for key, _, _, _ in self._scan()[0]]
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -473,24 +436,20 @@ class FileStore:
         *,
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
-        tmp_grace_seconds: float = 3600.0,
         protect: Optional[str] = None,
     ) -> Dict[str, int]:
         """Prune the object tree back within budget, LRU-by-last-use.
 
         ``max_bytes``/``max_entries`` override the configured budgets for
         this pass (``None`` uses the store's own; a store with no budgets
-        only sweeps crash leftovers and refreshes the index) and, like the
-        constructor's, must be positive.  Eviction order is oldest file
-        mtime first (reads refresh mtimes, so this is least-recently-used,
-        not least-recently-written); the most recent entry is never
-        deleted — and neither is ``protect`` (the key a triggering write
-        just persisted, immune even to an mtime tie on filesystems with
-        coarse timestamps) — so one oversized measurement still persists.  Orphaned ``.tmp`` files older than
-        ``tmp_grace_seconds`` (crash debris — live writers rename theirs
-        within milliseconds) are swept, and the advisory index is
-        atomically rewritten whenever anything was deleted, so it never
-        lists pruned keys.
+        only sweeps crash leftovers) and, like the constructor's, must be
+        positive.  Eviction order is oldest file mtime first (reads refresh
+        mtimes, so this is least-recently-used, not least-recently-written);
+        the most recent entry is never deleted — and neither is ``protect``
+        (the key a triggering write just persisted, immune even to an mtime
+        tie on filesystems with coarse timestamps) — so one oversized
+        measurement still persists.  Orphaned ``.tmp`` files older than
+        :data:`TMP_GRACE_SECONDS` are swept.
 
         Returns a stats dict: entries/bytes removed by this pass, tmp files
         swept, and the surviving entry/byte counts.
@@ -502,7 +461,7 @@ class FileStore:
         )
         entries, leftovers = self._scan()
         removed_tmp = 0
-        cutoff = time.time_ns() - int(tmp_grace_seconds * 1e9)
+        cutoff = time.time_ns() - int(TMP_GRACE_SECONDS * 1e9)
         for path, mtime_ns in leftovers:
             if mtime_ns <= cutoff:
                 try:
@@ -515,20 +474,15 @@ class FileStore:
         total = sum(size for _, _, size, _ in entries)
         live = len(entries)
         removed = removed_bytes = 0
-        survivors: List[Tuple[str, str, int, int]] = []
-        victims = iter(entries)
-        while live > 1 and (
-            (budget_entries is not None and live > budget_entries)
-            or (budget_bytes is not None and total > budget_bytes)
-        ):
-            entry = next(victims, None)
-            if entry is None:  # everything else was protected
+        # The newest entry is never a victim, so at least one survives.
+        for key, path, size, _ in entries[:-1]:
+            if not (
+                (budget_entries is not None and live > budget_entries)
+                or (budget_bytes is not None and total > budget_bytes)
+            ):
                 break
-            if entry[0] == protect or entry is entries[-1]:
-                # Never delete the protected key or the newest entry.
-                survivors.append(entry)
+            if key == protect:
                 continue
-            _, path, size, _ = entry
             try:
                 os.unlink(path)
             except FileNotFoundError:  # pragma: no cover - concurrent gc
@@ -537,17 +491,7 @@ class FileStore:
             live -= 1
             removed += 1
             removed_bytes += size
-        survivors.extend(victims)
         self.removed_entries += removed
-        self.removed_bytes += removed_bytes
-        self.removed_tmp += removed_tmp
-        if removed or removed_tmp:
-            sizes = {key: size for key, _, size, _ in survivors}
-            payload = json.dumps({"entries": len(sizes), "sizes": sizes})
-            atomic_write(
-                os.path.join(self.directory, self.INDEX_NAME),
-                payload.encode("utf-8"),
-            )
         with self._gc_lock:
             # Re-seed the write-path estimate from the precise scan.
             self._approx_bytes = total
@@ -560,34 +504,6 @@ class FileStore:
             "bytes": total,
         }
 
-    def prune(self, **kwargs: Any) -> Dict[str, int]:
-        """Alias of :meth:`gc` (same budgets, same return value)."""
-        return self.gc(**kwargs)
-
-    def write_index(self) -> str:
-        """Write the advisory ``index.json`` (key -> byte size), atomically.
-
-        Scans the object tree (O(entries)); intended for occasional calls
-        — e.g. once at session close — not per run.
-        """
-        index = {
-            key: os.path.getsize(self._path(key)) for key in self.keys()
-        }
-        target = os.path.join(self.directory, self.INDEX_NAME)
-        payload = json.dumps({"entries": len(index), "sizes": index})
-        self._atomic_write(target, payload.encode("utf-8"))
-        return target
-
-    def read_index(self) -> Dict[str, Any]:
-        """Load ``index.json`` (empty mapping when absent or unreadable)."""
-        try:
-            with open(
-                os.path.join(self.directory, self.INDEX_NAME), encoding="utf-8"
-            ) as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {}
-
 
 class MeasurementCache:
     """Thread-safe, optionally disk-backed LRU store of measurements by key.
@@ -596,12 +512,13 @@ class MeasurementCache:
     ----------
     cache_dir:
         Optional directory for per-key persistence through a
-        :class:`FileStore`, the only on-disk format.  Every :meth:`put`
-        writes through to its own file immediately (atomic rename), and a
-        :meth:`get` miss falls back to the store before reporting a miss —
-        so concurrent shard workers, sessions or hosts sharing the
-        directory persist without lock contention and warm each other
-        transparently, and a crash loses at most the entry in flight.
+        :class:`FileStore`, the only on-disk format.  Every
+        :meth:`put_many` writes each entry through to its own file
+        immediately (atomic rename), and a :meth:`get` miss falls back to
+        the store before reporting a miss — so concurrent shard workers,
+        sessions or hosts sharing the directory persist without lock
+        contention and warm each other transparently, and a crash loses
+        at most the batch in flight.
         ``None`` keeps the cache in memory only.
     max_entries:
         Optional capacity bound; exceeding it evicts the least recently
@@ -666,11 +583,6 @@ class MeasurementCache:
         self.misses = 0
         self.evictions = 0
         self.store_hits = 0
-
-    @property
-    def persistent(self) -> bool:
-        """True when the cache persists to a per-key store directory."""
-        return self.cache_dir is not None
 
     @property
     def store(self) -> Optional[FileStore]:
@@ -739,32 +651,22 @@ class MeasurementCache:
             CACHE_HITS.inc()
 
     def put(self, key: str, measurement: "Measurement") -> int:
-        """Store ``measurement`` under ``key`` (evicting LRU entries if full).
-
-        Returns the number of entries this put evicted, so callers can
-        attribute evictions to their own activity (per-run cache stats).
-        With a ``cache_dir`` bound the entry is also written through to its
-        own file immediately, so memory eviction never loses persisted work
-        and a crash loses at most the in-flight entry.
-        """
-        with self._lock:
-            self._insert(key, measurement)
-            evicted = self._evict()
-        if self._file_store is not None:
-            self._file_store.write(key, measurement)
-        return evicted
+        """Store one entry, a batch of one; returns the entries evicted."""
+        return self.put_many([(key, measurement)])
 
     def put_many(
         self, pairs: Sequence[Tuple[str, "Measurement"]]
     ) -> int:
-        """Store N entries in one locked pass (batched study commits).
+        """Store N entries in one locked pass, evicting LRU entries if full.
 
-        All insertions happen under a single lock acquisition followed by
-        one eviction sweep, and the write-through (when ``cache_dir`` is
-        bound) goes through :meth:`FileStore.write_many` — one GC
-        bookkeeping pass for the whole batch instead of one per
-        measurement.  Returns the total number of entries evicted, like N
-        calls to :meth:`put` would.
+        The cache's one write path.  All insertions happen under a single
+        lock acquisition followed by one eviction sweep.  With a
+        ``cache_dir`` bound the batch is also written through to the store
+        immediately by :meth:`FileStore.write_many` (one GC bookkeeping
+        pass for the whole batch), so memory eviction never loses
+        persisted work and a crash loses at most the batch in flight.
+        Returns the number of entries evicted, so callers can attribute
+        evictions to their own activity (per-run cache stats).
         """
         pairs = list(pairs)
         if not pairs:
@@ -847,30 +749,3 @@ class MeasurementCache:
             self.misses = 0
             self.evictions = 0
             self.store_hits = 0
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def _require_store(self) -> FileStore:
-        if self._file_store is None:
-            raise ValueError(
-                "this cache is in memory only; bind a cache_dir to persist it"
-            )
-        return self._file_store
-
-    def save(self) -> str:
-        """Refresh the store's advisory ``index.json``; returns ``cache_dir``.
-
-        Every entry was already written through at :meth:`put` time, so
-        nothing else needs saving.
-        """
-        self._require_store().write_index()
-        return self.cache_dir
-
-    def load(self) -> int:
-        """The number of keys persisted in the store.
-
-        Nothing is read eagerly: entries stream in lazily on :meth:`get`
-        misses.
-        """
-        return len(self._require_store())

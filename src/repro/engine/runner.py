@@ -212,10 +212,9 @@ class StudyRunner:
         With a cache attached, keys already stored are replayed and each
         distinct missing key is computed exactly once per batch.  With
         ``batch_size > 1``, compatible cache-miss items are grouped into
-        multi-measurement tasks (vectorized fits, one dispatch per group)
-        and their results are committed through the cache's batched
-        ``put_many`` — one store index/GC pass per group instead of one
-        per measurement.
+        multi-measurement tasks (vectorized fits, one dispatch per group).
+        Every computed miss is committed through one ``put_many`` call per
+        run: one write-through and store GC bookkeeping pass for the batch.
         """
         items = list(items)
         if not items:
@@ -245,12 +244,7 @@ class StudyRunner:
         if pending:
             computed = self._execute_items(list(pending.values()))
             pairs = list(zip(pending, computed))
-            put_many = getattr(self.cache, "put_many", None)
-            if len(pairs) > 1 and put_many is not None:
-                put_many(pairs)
-            else:
-                for key, measurement in pairs:
-                    self.cache.put(key, measurement)
+            self.cache.put_many(pairs)
             results.update(pairs)
         RUNNER_ITEMS.labels(source="fit").inc(len(pending))
         RUNNER_ITEMS.labels(source="cache").inc(len(items) - len(pending))

@@ -228,7 +228,8 @@ class Worker:
         return self._sessions[name]
 
     def close(self) -> None:
-        """Close every session this worker built (flushes store indexes).
+        """Close every session this worker built, shutting down their
+        executors' process pools.
 
         An injected session stays open — its owner closes it."""
         for session in self._sessions.values():

@@ -76,8 +76,54 @@ SSE_KEEPALIVE_SECONDS = 15.0
 MAX_BODY_BYTES = 8 << 20
 
 
+#: Every route a handler serves, as ``(method, template, handler name)``.
+#: A ``{name}`` segment matches any one path segment and is passed to the
+#: handler positionally.  The matched template is also the request's
+#: ``route`` metric label, so a path no handler serves is labelled
+#: ``other`` and clients cannot grow the label set.
+ROUTES = (
+    ("GET", "/", "_dashboard"),
+    ("GET", "/metrics", "_metrics"),
+    ("GET", "/v1/health", "_health"),
+    ("GET", "/v1/studies", "_studies"),
+    ("POST", "/v1/studies", "_submit_study"),
+    ("POST", "/v1/suites", "_submit_suite"),
+    ("GET", "/v1/jobs", "_jobs"),
+    ("GET", "/v1/jobs/{id}", "_job_summary"),
+    ("DELETE", "/v1/jobs/{id}", "_cancel_job"),
+    ("GET", "/v1/jobs/{id}/result", "_job_result"),
+    ("GET", "/v1/jobs/{id}/events", "_job_events"),
+    ("GET", "/v1/queue", "_queue"),
+    ("GET", "/v1/results/{suite}", "_suite_members"),
+    ("GET", "/v1/results/{suite}/{member}", "_member_record"),
+    ("GET", "/v1/reports/{suite}", "_suite_report"),
+    ("GET", "/v1/telemetry/spans", "_telemetry_spans"),
+)
+
+
+def _match(
+    method: str, parts: List[str]
+) -> Tuple[str, Optional[str], List[str]]:
+    """``(route label, handler name, path arguments)`` for one request;
+    the handler is ``None`` and the label ``other`` when no route serves
+    it."""
+    for route_method, template, handler in ROUTES:
+        segments = [segment for segment in template.split("/") if segment]
+        if route_method != method or len(segments) != len(parts):
+            continue
+        args: List[str] = []
+        for segment, part in zip(segments, parts):
+            if segment.startswith("{"):
+                args.append(part)
+            elif segment != part:
+                break
+        else:
+            return template, handler, args
+    return "other", None, []
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """One request; routing is a straight match on the split path."""
+    """One request, dispatched through the :data:`ROUTES` table."""
 
     protocol_version = "HTTP/1.1"
     server: "StudyServer"
@@ -138,43 +184,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._uncounted = None
             HTTP_REQUESTS.labels(method=method, route=route, status=status).inc()
 
-    def _route_template(self, parts: List[str]) -> str:
-        """Collapse a concrete path to a low-cardinality metric label."""
-        if not parts:
-            return "/"
-        if parts == ["metrics"]:
-            return "/metrics"
-        if parts[0] != "v1":
-            return "other"
-        route = parts[1:]
-        if not route:
-            return "other"
-        head = route[0]
-        if head == "jobs":
-            if len(route) == 1:
-                return "/v1/jobs"
-            if len(route) == 2:
-                return "/v1/jobs/{id}"
-            return "/v1/jobs/{id}/" + route[2]
-        if head == "results":
-            if len(route) == 3:
-                return "/v1/results/{suite}/{member}"
-            return "/v1/results/{suite}"
-        if head == "reports":
-            return "/v1/reports/{suite}"
-        if head in ("health", "studies", "suites", "queue"):
-            return "/v1/" + head
-        if head == "telemetry" and len(route) == 2:
-            return "/v1/telemetry/" + route[1]
-        return "other"
-
-    def _instrumented(self, method: str, inner) -> None:
+    def _instrumented(self, method: str) -> None:
         parts = self._parts()
-        route = self._route_template(parts)
+        route, handler, args = _match(method, parts)
         self._uncounted = (method, route)
         started = time.perf_counter()
         try:
-            inner(parts)
+            if handler is None:
+                self._send_error_json(HTTPStatus.NOT_FOUND, "not found")
+            else:
+                getattr(self, handler)(*args)
+        except BrokenPipeError:
+            pass  # client went away mid-response
         finally:
             HTTP_REQUEST_SECONDS.labels(route=route).observe(
                 time.perf_counter() - started
@@ -184,72 +205,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- verbs ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
-        self._instrumented("GET", self._do_get)
+        self._instrumented("GET")
 
     def do_POST(self) -> None:  # noqa: N802
-        self._instrumented("POST", self._do_post)
+        self._instrumented("POST")
 
     def do_DELETE(self) -> None:  # noqa: N802
-        self._instrumented("DELETE", self._do_delete)
-
-    def _do_get(self, parts: List[str]) -> None:
-        try:
-            if not parts:
-                return self._dashboard()
-            if parts == ["metrics"]:
-                return self._metrics()
-            if parts[0] != "v1":
-                return self._send_error_json(HTTPStatus.NOT_FOUND, "not found")
-            route = parts[1:]
-            if route == ["health"]:
-                return self._health()
-            if route == ["studies"]:
-                return self._send_json(
-                    [info.to_dict() for info in iter_studies()]
-                )
-            if route == ["jobs"]:
-                return self._send_json(
-                    [job.to_dict() for job in self.server.registry.jobs()]
-                )
-            if len(route) == 2 and route[0] == "jobs":
-                return self._job_summary(route[1])
-            if len(route) == 3 and route[0] == "jobs" and route[2] == "result":
-                return self._job_result(route[1])
-            if len(route) == 3 and route[0] == "jobs" and route[2] == "events":
-                return self._job_events(route[1])
-            if route == ["queue"]:
-                return self._queue()
-            if len(route) == 2 and route[0] == "results":
-                return self._suite_members(route[1])
-            if len(route) == 3 and route[0] == "results":
-                return self._member_record(route[1], route[2])
-            if len(route) == 2 and route[0] == "reports":
-                return self._suite_report(route[1])
-            if route == ["telemetry", "spans"]:
-                return self._telemetry_spans()
-            return self._send_error_json(HTTPStatus.NOT_FOUND, "not found")
-        except BrokenPipeError:
-            pass  # client went away mid-response
-
-    def _do_post(self, parts: List[str]) -> None:
-        if parts == ["v1", "studies"]:
-            return self._submit(self.server.registry.submit_study)
-        if parts == ["v1", "suites"]:
-            return self._submit(self.server.registry.submit_suite)
-        self._send_error_json(HTTPStatus.NOT_FOUND, "not found")
-
-    def _do_delete(self, parts: List[str]) -> None:
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            job = self.server.registry.get(parts[2])
-            if job is None:
-                return self._send_error_json(
-                    HTTPStatus.NOT_FOUND, f"unknown job {parts[2]!r}"
-                )
-            cancelled = job.cancel()
-            return self._send_json(
-                {"job": job.id, "cancelled": cancelled, **job.to_dict()}
-            )
-        self._send_error_json(HTTPStatus.NOT_FOUND, "not found")
+        self._instrumented("DELETE")
 
     # -- handlers -------------------------------------------------------
     def _dashboard(self) -> None:
@@ -277,6 +239,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _studies(self) -> None:
+        self._send_json([info.to_dict() for info in iter_studies()])
+
+    def _jobs(self) -> None:
+        self._send_json([job.to_dict() for job in self.server.registry.jobs()])
+
+    def _submit_study(self) -> None:
+        self._submit(self.server.registry.submit_study)
+
+    def _submit_suite(self) -> None:
+        self._submit(self.server.registry.submit_suite)
+
+    def _cancel_job(self, job_id: str) -> None:
+        job = self.server.registry.get(job_id)
+        if job is None:
+            return self._send_error_json(
+                HTTPStatus.NOT_FOUND, f"unknown job {job_id!r}"
+            )
+        cancelled = job.cancel()
+        self._send_json(
+            {"job": job.id, "cancelled": cancelled, **job.to_dict()}
+        )
 
     def _telemetry_spans(self) -> None:
         query = self._query()

@@ -11,10 +11,8 @@ fixed independently of one another.
 from repro.utils.rng import (
     SeedBundle,
     SeedScope,
-    SeedSequencePool,
     derive_seed,
     rng_from_seed,
-    spawn_generators,
 )
 from repro.utils.tables import format_table, format_series
 from repro.utils.validation import (
@@ -28,10 +26,8 @@ from repro.utils.validation import (
 __all__ = [
     "SeedBundle",
     "SeedScope",
-    "SeedSequencePool",
     "derive_seed",
     "rng_from_seed",
-    "spawn_generators",
     "format_table",
     "format_series",
     "check_array",

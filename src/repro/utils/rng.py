@@ -25,10 +25,8 @@ from repro.utils.validation import check_random_state
 __all__ = [
     "derive_seed",
     "rng_from_seed",
-    "spawn_generators",
     "SeedBundle",
     "SeedScope",
-    "SeedSequencePool",
 ]
 
 #: Largest seed value we hand out.  Kept below 2**32 so seeds remain valid
@@ -74,12 +72,6 @@ def rng_from_seed(seed: Optional[int]) -> np.random.Generator:
     source when it should be randomized (Appendix C.1).
     """
     return np.random.default_rng(seed)
-
-
-def spawn_generators(seed: int, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators from a single seed."""
-    seq = np.random.SeedSequence(int(seed) % MAX_SEED)
-    return [np.random.default_rng(child) for child in seq.spawn(int(n))]
 
 
 #: Canonical variance-source names used throughout the library.  They match
@@ -247,46 +239,3 @@ class SeedScope:
     def path_str(self) -> str:
         """Human-readable rendition of the path (``task=entailment/rep=3``)."""
         return "/".join("=".join(json.loads(segment)) for segment in self.path)
-
-
-class SeedSequencePool:
-    """Hand out reproducible, non-overlapping seeds on demand.
-
-    Useful when an experiment needs "as many fresh seeds as it asks for"
-    while remaining reproducible from a single root seed.
-    """
-
-    def __init__(self, root_seed: int = 0) -> None:
-        self._root = np.random.SeedSequence(int(root_seed) % MAX_SEED)
-        self._count = 0
-
-    def next_seed(self) -> int:
-        """Return the next seed in the pool.
-
-        Draw ``i`` (0-based) has always been the last child of a fresh
-        ``spawn(i + 1)`` — spawn key ``i·(i+3)/2``, since each call also
-        advanced the root's spawn counter by ``i + 1``.  Constructing that
-        child directly keeps every issued seed identical while replacing
-        the O(n) respawn per draw (O(n²) total) with O(1).
-        """
-        key = self._count * (self._count + 3) // 2
-        child = np.random.SeedSequence(
-            entropy=self._root.entropy,
-            spawn_key=(*self._root.spawn_key, key),
-            pool_size=self._root.pool_size,
-        )
-        self._count += 1
-        return int(child.generate_state(1, dtype=np.uint32)[0])
-
-    def next_bundle(self) -> SeedBundle:
-        """Return a fully-randomized :class:`SeedBundle`."""
-        return SeedBundle.random(rng_from_seed(self.next_seed()))
-
-    def next_rng(self) -> np.random.Generator:
-        """Return a generator seeded with the next pool seed."""
-        return rng_from_seed(self.next_seed())
-
-    @property
-    def issued(self) -> int:
-        """Number of seeds issued so far."""
-        return self._count

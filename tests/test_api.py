@@ -558,13 +558,37 @@ class TestStringCacheIsAPerKeyStore:
         spec = _smoke_spec("binomial", n_jobs=1).replace(cache=directory)
         with Session() as session:
             cold = session.run(spec)
-            # Written through at put time, before close() refreshes the index.
+            # Written through at put time, before close().
             self._assert_per_key_store(directory)
         assert cold.cache_stats["misses"] > 0
         with Session() as fresh:
             warm = fresh.run(spec)
         assert warm.cache_stats["misses"] == 0
         assert warm.to_rows() == cold.to_rows()
+
+    def test_close_writes_nothing_to_the_store(self, tmp_path):
+        # The object tree is the store's only record: closing a session
+        # that ran a study adds, rewrites and removes no file under it.
+        directory = str(tmp_path / "store")
+
+        def files():
+            found = {}
+            for root, _, names in os.walk(directory):
+                for name in names:
+                    stat = os.stat(os.path.join(root, name))
+                    found[os.path.join(root, name)] = (
+                        stat.st_size, stat.st_mtime_ns
+                    )
+            return found
+
+        session = Session(cache_dir=directory)
+        try:
+            session.run(_smoke_spec("binomial", n_jobs=1))
+            before = files()
+        finally:
+            session.close()
+        assert len(FileStore(directory)) > 0
+        assert files() == before
 
     def test_session_cache_string_persists_per_key(self, tmp_path):
         directory = str(tmp_path / "shared-store")

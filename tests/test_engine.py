@@ -250,16 +250,28 @@ class TestFileStore:
             with pytest.raises(ValueError):
                 store.write(bad, 1)
 
-    def test_index_roundtrip(self, tmp_path):
+    def test_old_index_json_is_ignored_and_left_alone(self, tmp_path):
+        # Older versions kept an index.json beside the object tree; the
+        # store lists, reads and collects only objects/ and never touches
+        # that file.
         store = FileStore(str(tmp_path))
-        store.write("aa11", "payload")
-        store.write_index()
-        index = store.read_index()
-        assert index["entries"] == 1
-        assert "aa11" in index["sizes"]
-        # A stale index never hides entries: keys() scans the tree.
-        store.write("bb22", "later")
-        assert len(store.keys()) == 2
+        for key in ("aa11", "bb22", "cc33"):
+            store.write(key, key)
+        stale = os.path.join(str(tmp_path), "index.json")
+        old = json.dumps(
+            {"entries": 3, "sizes": {"aa11": 1, "ee55": 2, "ff66": 3}}
+        ).encode()
+        with open(stale, "wb") as handle:
+            handle.write(old)
+        assert store.keys() == ["aa11", "bb22", "cc33"]
+        assert len(store) == 3
+        assert [store.read(key) for key in store.keys()] == store.keys()
+        assert store.read("ee55") is None
+        stats = store.gc(max_entries=1)
+        assert stats["removed_entries"] == 2 and stats["entries"] == 1
+        assert len(store.keys()) == 1
+        with open(stale, "rb") as handle:
+            assert handle.read() == old
 
 
 class TestCacheDirStore:
@@ -284,17 +296,6 @@ class TestCacheDirStore:
         assert cache.get("aa11") == "one"  # replayed from disk
         assert cache.store_hits == 1
 
-    def test_save_and_load_use_index_not_pickle(self, tmp_path):
-        cache = MeasurementCache(cache_dir=str(tmp_path))
-        cache.put("aa11", "one")
-        assert cache.save() == str(tmp_path)
-        assert cache.load() == 1
-        assert cache.store.read_index()["entries"] == 1
-
-    def test_persistent_flag(self, tmp_path):
-        assert not MeasurementCache().persistent
-        assert MeasurementCache(cache_dir=str(tmp_path)).persistent
-
     def test_concurrent_writers_do_not_corrupt(self, tmp_path):
         """Many caches hammering one directory: every entry survives intact."""
         directory = str(tmp_path / "shared")
@@ -313,7 +314,7 @@ class TestCacheDirStore:
         for thread in threads:
             thread.join()
         fresh = MeasurementCache(cache_dir=directory)
-        assert fresh.load() == 6 * 25
+        assert len(fresh.store) == 6 * 25
         for n in range(6):
             for i in range(25):
                 assert fresh.get(f"w{n}{i:02d}aa") == (f"w{n}", i)

@@ -639,6 +639,39 @@ class TestServeTelemetry:
             finally:
                 release.set()
 
+    def test_unserved_paths_share_the_other_route_label(self, tmp_path):
+        # A path no handler serves must not mint a label value of its
+        # own: any client could then add a series, plus a whole latency
+        # histogram, per distinct path.
+        from repro.telemetry.instruments import HTTP_REQUESTS
+
+        templates = {
+            "/", "/metrics", "/v1/health", "/v1/studies", "/v1/suites",
+            "/v1/jobs", "/v1/jobs/{id}", "/v1/jobs/{id}/result",
+            "/v1/jobs/{id}/events", "/v1/queue", "/v1/results/{suite}",
+            "/v1/results/{suite}/{member}", "/v1/reports/{suite}",
+            "/v1/telemetry/spans", "other",
+        }
+        unserved = [
+            "/v1/jobs/x/zz1", "/v1/jobs/x/zz2", "/v1/jobs/x/result/more",
+            "/v1/telemetry/abc123", "/v1/telemetry/def456",
+            "/v1/results/a/b/c", "/v1/reports/a/b", "/v1/health/deep",
+            "/v1/queue/x", "/v1", "/v2/jobs", "/metrics/x",
+        ]
+        other = dict(method="GET", route="other", status="404")
+        with serving(tmp_path) as server:
+            before = HTTP_REQUESTS.value(**other)
+            for path in unserved:
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _get_raw(server, path)
+                excinfo.value.close()
+                assert excinfo.value.code == 404, path
+            assert HTTP_REQUESTS.value(**other) == before + len(unserved)
+            _, _, body = _get_raw(server, "/metrics")
+        routes = set(re.findall(r'route="([^"]*)"', body.decode()))
+        assert "other" in routes
+        assert routes <= templates, sorted(routes - templates)
+
     def test_job_and_task_metrics_move(self, tmp_path):
         with serving(tmp_path) as server:
             _, accepted = _post_json(

@@ -11,10 +11,8 @@ from repro.utils.rng import (
     MAX_SEED,
     SeedBundle,
     SeedScope,
-    SeedSequencePool,
     derive_seed,
     rng_from_seed,
-    spawn_generators,
 )
 
 
@@ -41,21 +39,6 @@ class TestRngFromSeed:
 
     def test_none_gives_generator(self):
         assert isinstance(rng_from_seed(None), np.random.Generator)
-
-
-class TestSpawnGenerators:
-    def test_count(self):
-        gens = spawn_generators(0, 4)
-        assert len(gens) == 4
-
-    def test_streams_independent(self):
-        gens = spawn_generators(0, 2)
-        assert not np.allclose(gens[0].random(10), gens[1].random(10))
-
-    def test_reproducible(self):
-        a = spawn_generators(3, 2)[1].random(4)
-        b = spawn_generators(3, 2)[1].random(4)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestSeedBundle:
@@ -198,43 +181,3 @@ class TestSeedScope:
         for kind, name in extra:
             root.child(kind, name).seed()  # unrelated derivations
         assert _scope_at(root, path).seed() == before
-
-
-class TestSeedSequencePool:
-    def test_issued_seeds_unchanged_by_constant_time_rewrite(self):
-        """Regression: the O(1) next_seed must reproduce the historical
-        sequence, which respawned all children on every draw."""
-
-        class _QuadraticReference:
-            def __init__(self, root_seed):
-                self._root = np.random.SeedSequence(root_seed)
-                self._count = 0
-
-            def next_seed(self):
-                child = self._root.spawn(self._count + 1)[self._count]
-                self._count += 1
-                return int(child.generate_state(1, dtype=np.uint32)[0])
-
-        for root in (0, 1, 2**31):
-            reference = _QuadraticReference(root % (2**32 - 1))
-            pool = SeedSequencePool(root)
-            assert [pool.next_seed() for _ in range(40)] == [
-                reference.next_seed() for _ in range(40)
-            ]
-
-    def test_seeds_unique(self):
-        pool = SeedSequencePool(0)
-        seeds = [pool.next_seed() for _ in range(20)]
-        assert len(set(seeds)) == 20
-
-    def test_reproducible_across_pools(self):
-        assert [SeedSequencePool(1).next_seed() for _ in range(1)] == [
-            SeedSequencePool(1).next_seed() for _ in range(1)
-        ]
-
-    def test_issued_counter(self):
-        pool = SeedSequencePool(0)
-        pool.next_seed()
-        pool.next_bundle()
-        pool.next_rng()
-        assert pool.issued == 3
