@@ -374,10 +374,11 @@ class Session:
         pickling overhead — and ``"thread"`` otherwise.
     batch_size:
         Group up to this many compatible measurements (same pipeline and
-        hyperparameters, different seeds) into one dispatched task executed
-        through the pipeline's vectorized multi-seed kernel.  ``1``
-        (default) disables batching.  Results are bitwise-identical at any
-        ``batch_size``.
+        hyperparameters, different seeds; or measurements that each run
+        their own HOpt, whose proposal rounds then fit together) into one
+        dispatched task executed through the pipeline's vectorized
+        multi-seed kernel.  ``1`` (default) disables batching.  Results
+        are bitwise-identical at any ``batch_size``.
     cache:
         The shared measurement cache: an existing
         :class:`~repro.engine.cache.MeasurementCache`, a directory path
@@ -766,7 +767,8 @@ class Session:
         (default) makes this session execute tasks too, so zero external
         workers still complete; ``shard_members``
         pre-shards members by scope path for finer-grained stealing;
-        ``lease_seconds``/``poll_seconds`` tune the queue;
+        ``lease_seconds``/``poll_seconds`` tune the queue (``None``: the
+        :class:`~repro.sched.coordinator.Coordinator` defaults);
         ``max_attempts`` bounds re-runs after transient failures;
         ``stall_seconds`` couples this process's lease renewal to study
         progress; and ``timeout`` bounds the wait (mostly useful with
@@ -780,7 +782,7 @@ class Session:
                 suite,
                 shard_members=shard_members,
                 lease_seconds=30.0 if lease_seconds is None else lease_seconds,
-                poll_seconds=0.2 if poll_seconds is None else poll_seconds,
+                poll_seconds=poll_seconds,
                 max_attempts=max_attempts,
                 stall_seconds=stall_seconds,
             )

@@ -24,9 +24,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.data.dataset import Dataset
 from repro.data.resampling import BootstrapResampler
-from repro.hpo.base import BatchObjective, HPOptimizer, HPOResult
+from repro.hpo.base import HPOptimizer, HPORun, HPOResult, optimize_runs, trial_rank
 from repro.hpo.random_search import RandomSearch
-from repro.pipelines.base import Pipeline, fit_and_score_many
+from repro.pipelines.base import FitOutcome, Pipeline, fit_and_score_many
 from repro.utils.rng import SeedBundle
 from repro.utils.validation import check_positive_int
 
@@ -49,8 +49,12 @@ class Measurement:
     seeds:
         Seed bundle that produced this measurement.
     n_fits:
-        Number of model fits consumed to produce the measurement (1 when
-        hyperparameters were supplied, ``T + 1`` when HOpt ran first).
+        Model fits the measurement costs in the paper's accounting: 1
+        when hyperparameters were supplied, ``T + 1`` when HOpt ran first
+        (``T`` trials and the final fit).  The final fit of an HOpt
+        measurement is its winning trial's fit, which was already paid
+        for, so the engine runs ``T`` fits; the count keeps the paper's
+        cost unit.
     hpo_result:
         The full :class:`~repro.hpo.base.HPOResult` when HOpt ran inside
         the measurement (``None`` otherwise).  Carrying it on the
@@ -124,35 +128,78 @@ class BenchmarkProcess:
         part).  The objective minimized is ``1 - validation score``, i.e.
         the validation error / regret tracked in Figure F.2.
 
-        Every proposal batch (see :mod:`repro.hpo.base`) is fitted in one
-        :func:`~repro.pipelines.base.fit_and_score_many` call with one
-        configuration per trial: the trials share the training split and
-        the seed bundle, so they stack into one kernel pass, each trial's
-        value bitwise what a fit of its configuration alone gives.  The
-        stack holds a copy of the training split per trial, so memory
-        grows with the number of trials proposed together.
+        It is a batch of one through the HOpt path of
+        :meth:`measure_many_with_hpo`, on a copy of the process's
+        optimizer, so concurrent calls share no search state.
         """
-        budget = self.hpo_budget if budget is None else check_positive_int(budget, "budget")
-        train, valid, _ = self.split(seeds)
+        budget = self.hpo_budget if budget is None else budget
+        ((result, _, _),) = self._optimize_many([seeds], budget)
+        return result
 
-        def objective(configs: List[Dict[str, float]]) -> List[float]:
-            n_trials = len(configs)
+    def _optimize_many(
+        self, seeds_list: Sequence[SeedBundle], budget: int
+    ) -> List[Tuple[HPOResult, FitOutcome, Dataset]]:
+        """One HOpt run per seed bundle, every proposal round in one fit call.
+
+        Each run splits once with its ``data`` stream and draws its
+        configurations from its ``hopt`` stream (:class:`HPORun`).  Each
+        round of :func:`~repro.hpo.base.optimize_runs` — the proposal
+        batches of every unfinished run — goes through one
+        :func:`~repro.pipelines.base.fit_and_score_many` call with one
+        configuration per trial, so trials of one run and trials of
+        different runs stack into one kernel pass wherever their training
+        splits share a shape, each trial's value bitwise what a fit of its
+        configuration alone gives.  The stack holds a copy of a training
+        split per trial, so memory grows with the trials proposed in one
+        round across all runs (up to ``len(seeds_list) * budget``).
+
+        Only each run's best fit so far is kept — ranked by
+        :func:`~repro.hpo.base.trial_rank`, as
+        :attr:`HPOResult.best_trial` ranks — so a run holds one model.
+        Returns ``(trials, winning fit, test split)`` per run.
+        """
+        space = self.pipeline.search_space()
+        splits = [self.split(seeds) for seeds in seeds_list]
+        runs = [
+            HPORun.start(
+                self.hpo_algorithm,
+                space,
+                budget=budget,
+                random_state=seeds.rng_for("hopt"),
+            )
+            for seeds in seeds_list
+        ]
+        best: List[Optional[Tuple[float, FitOutcome]]] = [None] * len(runs)
+
+        def evaluate(proposals) -> List[List[float]]:
+            trials = [
+                (position, config)
+                for position, configs in proposals
+                for config in configs
+            ]
+            valids = [splits[position][1] for position, _ in trials]
             outcomes = fit_and_score_many(
                 self.pipeline,
-                [train] * n_trials,
-                [valid] * n_trials,
-                configs,
-                [seeds] * n_trials,
-                valids=[valid] * n_trials,
+                [splits[position][0] for position, _ in trials],
+                valids,  # the objective's "test" set is the validation split
+                [config for _, config in trials],
+                [seeds_list[position] for position, _ in trials],
+                valids=valids,
             )
-            return [1.0 - float(outcome.valid_score) for outcome in outcomes]
+            values: Dict[int, List[float]] = {position: [] for position, _ in proposals}
+            for (position, _), outcome in zip(trials, outcomes):
+                value = 1.0 - float(outcome.valid_score)
+                kept = best[position]
+                if kept is None or trial_rank(value) < trial_rank(kept[0]):
+                    best[position] = (value, outcome)
+                values[position].append(value)
+            return [values[position] for position, _ in proposals]
 
-        return self.hpo_algorithm.optimize(
-            BatchObjective(objective),
-            self.pipeline.search_space(),
-            budget=budget,
-            random_state=seeds.rng_for("hopt"),
-        )
+        optimize_runs(runs, evaluate)
+        return [
+            (run.result, winner, test)
+            for run, (_, winner), (_, _, test) in zip(runs, best, splits)
+        ]
 
     def measure(
         self,
@@ -205,18 +252,40 @@ class BenchmarkProcess:
     def measure_with_hpo(self, seeds: SeedBundle) -> Measurement:
         """One measurement including its own HOpt run (Algorithm 1 inner loop).
 
-        Runs :math:`HOpt` for ``hpo_budget`` trials under the given seeds,
-        then trains with the best configuration and evaluates on the test
-        set.  Costs ``hpo_budget + 1`` model fits.
+        :meth:`measure_many_with_hpo` on a batch of one.
         """
-        hpo_result = self.run_hpo(seeds)
-        measurement = self.measure(seeds, hpo_result.best_config)
-        return Measurement(
-            test_score=measurement.test_score,
-            valid_score=measurement.valid_score,
-            train_score=measurement.train_score,
-            hparams=measurement.hparams,
-            seeds=seeds,
-            n_fits=self.hpo_budget + 1,
-            hpo_result=hpo_result,
-        )
+        return self.measure_many_with_hpo([seeds])[0]
+
+    def measure_many_with_hpo(
+        self, seeds_list: Sequence[SeedBundle]
+    ) -> List[Measurement]:
+        """B measurements, each with its own HOpt run, in batched rounds.
+
+        Runs :math:`HOpt` for ``hpo_budget`` trials under each seed bundle,
+        every proposal round of all B runs in one fit call (see
+        :meth:`_optimize_many`).  Each run's winning trial — the one
+        :attr:`HPOResult.best_trial` names — is its final model: its
+        validation and training scores and hyperparameters are the
+        measurement's, and one evaluation on the run's test split gives
+        the test score.  The final fit is the winning trial's fit, on the
+        trials' training split (not on the union of training and
+        validation sets Algorithm 1 refits on), so nothing is refitted:
+        the engine runs ``hpo_budget`` fits per measurement, and
+        ``n_fits`` counts ``hpo_budget + 1`` as the paper does.  Per item
+        the measurement is bitwise-identical whatever it is batched with.
+        """
+        seeds_list = list(seeds_list)
+        return [
+            Measurement(
+                test_score=float(self.pipeline.evaluate(winner.model, test)),
+                valid_score=winner.valid_score,
+                train_score=float(winner.train_score),
+                hparams=dict(winner.hparams),
+                seeds=seeds,
+                n_fits=self.hpo_budget + 1,
+                hpo_result=result,
+            )
+            for seeds, (result, winner, test) in zip(
+                seeds_list, self._optimize_many(seeds_list, self.hpo_budget)
+            )
+        ]

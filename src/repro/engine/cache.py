@@ -630,6 +630,7 @@ class MeasurementCache:
         # File I/O happens outside the lock; racing a concurrent writer of
         # the same key is harmless (both persist identical bytes).
         measurement = self._file_store.read(key)
+        size = 0 if measurement is None else self._size(measurement)
         with self._lock:
             if measurement is None:
                 self.misses += 1
@@ -639,7 +640,7 @@ class MeasurementCache:
                 self.store_hits += 1
                 CACHE_HITS.inc()
                 CACHE_STORE_HITS.inc()
-                self._insert(key, measurement)
+                self._insert(key, measurement, size)
                 self._evict()
         return measurement
 
@@ -659,34 +660,44 @@ class MeasurementCache:
     ) -> int:
         """Store N entries in one locked pass, evicting LRU entries if full.
 
-        The cache's one write path.  All insertions happen under a single
-        lock acquisition followed by one eviction sweep.  With a
-        ``cache_dir`` bound the batch is also written through to the store
-        immediately by :meth:`FileStore.write_many` (one GC bookkeeping
-        pass for the whole batch), so memory eviction never loses
-        persisted work and a crash loses at most the batch in flight.
-        Returns the number of entries evicted, so callers can attribute
-        evictions to their own activity (per-run cache stats).
+        The cache's one write path.  With a ``cache_dir`` bound the batch
+        is first written through to the store by
+        :meth:`FileStore.write_many` (one GC bookkeeping pass for the
+        whole batch), so memory eviction never loses persisted work and a
+        crash loses at most the batch in flight; the sizes it returns are
+        the entries' sizes for the ``max_bytes`` budget, so each entry is
+        pickled once.  Then all insertions happen under a single lock
+        acquisition followed by one eviction sweep.  Returns the number
+        of entries evicted, so callers can attribute evictions to their
+        own activity (per-run cache stats).
         """
         pairs = list(pairs)
         if not pairs:
             return 0
-        with self._lock:
-            for key, measurement in pairs:
-                self._insert(key, measurement)
-            evicted = self._evict()
         if self._file_store is not None:
-            self._file_store.write_many(pairs)
-        return evicted
+            sizes = self._file_store.write_many(pairs)
+        else:
+            sizes = [self._size(measurement) for _, measurement in pairs]
+        with self._lock:
+            for (key, measurement), size in zip(pairs, sizes):
+                self._insert(key, measurement, size)
+            return self._evict()
 
-    def _insert(self, key: str, measurement: "Measurement") -> None:
-        """Insert one entry as most-recent (caller holds the lock)."""
+    def _size(self, measurement: "Measurement") -> int:
+        """Pickled size of an entry the store has not written, when the
+        memory budget needs it (0 otherwise)."""
+        if self.max_bytes is None:
+            return 0
+        return len(pickle.dumps(measurement, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def _insert(self, key: str, measurement: "Measurement", size: int) -> None:
+        """Insert one entry of pickled ``size`` as most-recent (caller
+        holds the lock)."""
         if key in self._store:
             self._total_bytes -= self._sizes.pop(key, 0)
         self._store[key] = measurement
         self._store.move_to_end(key)
         if self.max_bytes is not None:
-            size = len(pickle.dumps(measurement, protocol=pickle.HIGHEST_PROTOCOL))
             self._sizes[key] = size
             self._total_bytes += size
 

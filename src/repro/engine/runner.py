@@ -66,7 +66,7 @@ class WorkItem:
         defaults.  Ignored when ``with_hpo`` is true (HOpt selects them).
     with_hpo:
         When true the measurement includes its own HOpt run
-        (:meth:`~repro.core.benchmark.BenchmarkProcess.measure_with_hpo`).
+        (:meth:`~repro.core.benchmark.BenchmarkProcess.measure_many_with_hpo`).
     scope_path:
         Provenance label: the :class:`~repro.utils.rng.SeedScope` path the
         seeds were derived from (e.g. ``task=entailment/rep=3``), when the
@@ -102,25 +102,15 @@ class WorkItem:
         )
 
 
-def _measure_with_hpo(process: BenchmarkProcess, seeds: SeedBundle) -> Measurement:
-    """One HPO measurement on a private copy of the process's optimizer."""
-    # HPO algorithms may keep per-run state (e.g. NoisyGridSearch builds
-    # its grid in prepare()); concurrent with_hpo items on the thread
-    # backend would race on the shared instance.  A shallow process copy
-    # with its own deep-copied optimizer keeps every item independent —
-    # pipelines, datasets and resamplers are fit-pure and stay shared.
-    process = copy.copy(process)
-    process.hpo_algorithm = copy.deepcopy(process.hpo_algorithm)
-    return process.measure_with_hpo(seeds)
-
-
 class _BoundExecute:
     """Picklable ``(item, ...) -> [Measurement, ...]`` closure over the process.
 
-    A task is one HPO item or up to ``batch_size`` items sharing their
-    hyperparameters — the grouping :meth:`StudyRunner._plan_batches`
-    guarantees — and the latter go through the vectorized
-    :meth:`BenchmarkProcess.measure_many`.
+    A task is up to ``batch_size`` HPO items, which go through
+    :meth:`BenchmarkProcess.measure_many_with_hpo`, or up to
+    ``batch_size`` items sharing their hyperparameters, which go through
+    :meth:`BenchmarkProcess.measure_many` — the grouping
+    :meth:`StudyRunner._plan_batches` guarantees.  Both fit their items in
+    stacked kernel passes.
 
     When a ``dataset_handle`` is attached (process backend), pickling
     strips the dataset from the payload and ships the shared-memory handle
@@ -139,11 +129,10 @@ class _BoundExecute:
         self.dataset_handle = dataset_handle
 
     def __call__(self, task: Tuple[WorkItem, ...]) -> List[Measurement]:
-        if any(item.with_hpo for item in task):
-            return [_measure_with_hpo(self.process, item.seeds) for item in task]
-        return self.process.measure_many(
-            [item.seeds for item in task], task[0].hparams
-        )
+        seeds_list = [item.seeds for item in task]
+        if task[0].with_hpo:
+            return self.process.measure_many_with_hpo(seeds_list)
+        return self.process.measure_many(seeds_list, task[0].hparams)
 
     def __getstate__(self) -> dict:
         if self.dataset_handle is None:
@@ -177,11 +166,13 @@ class StudyRunner:
     cache:
         Optional :class:`MeasurementCache` for cross-batch memoization.
     batch_size:
-        Group up to this many compatible work items (same hyperparameters,
-        no HPO, different seeds) into one dispatched task, executed through
-        the pipeline's vectorized multi-seed kernel.  Defaults to the
-        executor's ``batch_size`` hint (``1`` = one-item tasks).  Results
-        are bitwise-identical at every batch size.
+        Group up to this many compatible work items into one dispatched
+        task, executed through the pipeline's vectorized multi-seed
+        kernel: items with the same hyperparameters and different seeds,
+        or items that each run their own HOpt (each proposal round of a
+        task's HOpt runs is one stacked fit).  Defaults to the executor's
+        ``batch_size`` hint (``1`` = one-item tasks).  Results are
+        bitwise-identical at every batch size.
     """
 
     def __init__(
@@ -284,18 +275,17 @@ class StudyRunner:
     ) -> Tuple[List[Tuple[WorkItem, ...]], List[Tuple[int, ...]]]:
         """Group items into dispatchable tasks of up to ``batch_size``.
 
-        Only items sharing canonical hyperparameters (and not running HPO)
-        are grouped — exactly the compatibility the vectorized kernel
-        needs.  HPO items stay singleton tasks.  Grouping preserves
-        first-seen order, and the returned positions map each task's
-        measurements back to submission order.
+        Items sharing canonical hyperparameters (and not running HPO) are
+        grouped — exactly the compatibility the vectorized kernel needs.
+        HPO items form one group of their own: HOpt chooses each item's
+        hyperparameters, and a task of them fits each proposal round of
+        all its runs in one call.  Grouping preserves first-seen order,
+        and the returned positions map each task's measurements back to
+        submission order.
         """
-        groups: Dict[str, List[int]] = {}
+        groups: Dict[Optional[str], List[int]] = {}
         for position, item in enumerate(items):
-            if item.with_hpo:
-                key = f"hpo/{position}"
-            else:
-                key = repr(_canonical_value(item.hparams))
+            key = None if item.with_hpo else repr(_canonical_value(item.hparams))
             groups.setdefault(key, []).append(position)
         tasks: List[Tuple[WorkItem, ...]] = []
         positions: List[Tuple[int, ...]] = []

@@ -7,9 +7,10 @@ of ``T`` trials.  Every stochastic choice is drawn from the generator the
 caller provides, so the whole procedure is a deterministic function of its
 seed — that seed *is* the :math:`\\xi_H` variance source.
 
-**Proposal batches.**  :meth:`HPOptimizer.propose_batch` returns every
+**Proposal rounds.**  :meth:`HPOptimizer.propose_batch` returns every
 configuration the optimizer can choose without seeing a new trial value,
-and :meth:`HPOptimizer.optimize` runs one loop over such batches:
+and :func:`optimize_runs` drives any number of independent HOpt runs
+(:class:`HPORun`) in rounds of such batches:
 
 * :class:`~repro.hpo.random_search.RandomSearch`,
   :class:`~repro.hpo.grid.GridSearch` and
@@ -21,20 +22,26 @@ and :meth:`HPOptimizer.optimize` runs one loop over such batches:
 * any other optimizer proposes one configuration at a time through
   :meth:`HPOptimizer.propose`.
 
-A batch draws from the generator in the order one-at-a-time proposals
-would, so batching changes no configuration as long as the objective does
-not draw from that generator.  A plain objective is called once per
-configuration; a :class:`BatchObjective` scores a whole batch in one call,
-which is how :meth:`repro.core.benchmark.BenchmarkProcess.run_hpo` fits
-all the trials of a batch in one stacked kernel pass.
+A batch draws from its run's generator in the order one-at-a-time
+proposals would, and each run owns its optimizer copy, search space and
+generator, so neither batching nor running beside other runs changes a
+configuration as long as the objective does not draw from that
+generator.  One round scores the batches of every unfinished run in one
+call, which is how
+:meth:`repro.core.benchmark.BenchmarkProcess.measure_many_with_hpo` fits
+a round of all its runs in one stacked kernel pass.
+:meth:`HPOptimizer.optimize` is the loop with one run: a plain objective
+is called once per configuration, a :class:`BatchObjective` once per
+batch.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,7 +52,15 @@ from repro.utils.validation import (
     check_random_state,
 )
 
-__all__ = ["Trial", "HPOResult", "HPOptimizer", "BatchObjective"]
+__all__ = [
+    "Trial",
+    "HPOResult",
+    "HPOptimizer",
+    "BatchObjective",
+    "HPORun",
+    "optimize_runs",
+    "trial_rank",
+]
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,15 @@ class BatchObjective:
 
 #: Type of the objective handed to optimizers: smaller is better.
 Objective = Union[Callable[[Dict[str, float]], float], BatchObjective]
+
+
+def trial_rank(value: float) -> Tuple[bool, float]:
+    """Sort key of a trial value, smaller is better: the one definition
+    of the best trial.
+
+    A NaN value (a diverged trial) ranks below every number; NaNs tie.
+    """
+    return (True, 0.0) if math.isnan(value) else (False, value)
 
 
 @dataclass(frozen=True)
@@ -96,10 +120,7 @@ class HPOResult:
         """
         if not self.trials:
             raise ValueError("no trials were run")
-        return min(
-            self.trials,
-            key=lambda t: (True, 0.0) if math.isnan(t.value) else (False, t.value),
-        )
+        return min(self.trials, key=lambda t: trial_rank(t.value))
 
     @property
     def best_config(self) -> Dict[str, float]:
@@ -170,7 +191,9 @@ class HPOptimizer(ABC):
     ) -> HPOResult:
         """Run the optimizer for ``budget`` trials and return all trials.
 
-        Trials run in proposal batches (see the module docstring).
+        This is :func:`optimize_runs` with one :class:`HPORun`, so the
+        trials run in proposal batches on a copy of this optimizer (see
+        the module docstring).
 
         Parameters
         ----------
@@ -184,27 +207,103 @@ class HPOptimizer(ABC):
         random_state:
             Seed or generator — the :math:`\\xi_H` source.
         """
-        budget = check_positive_int(budget, "budget")
-        rng = check_random_state(random_state)
-        space = self.prepare(space, rng, budget)
+        run = HPORun.start(self, space, budget=budget, random_state=random_state)
         evaluate = (
             objective.many
             if isinstance(objective, BatchObjective)
             else lambda configs: [objective(config) for config in configs]
         )
-        result = HPOResult()
-        while result.n_trials < budget:
-            configs = self.propose_batch(space, result.trials, rng, budget)
-            if not 0 < len(configs) <= budget - result.n_trials:
+        optimize_runs(
+            [run], lambda proposals: [evaluate(configs) for _, configs in proposals]
+        )
+        return run.result
+
+
+@dataclass
+class HPORun:
+    """One HOpt run in progress.
+
+    Attributes
+    ----------
+    optimizer:
+        The run's own copy of the optimizer: optimizers may keep per-run
+        state (grid search lays out its grid in ``prepare``), so runs of
+        one optimizer never share it, in one thread or many.
+    space:
+        The search space as ``optimizer.prepare`` returned it.
+    rng:
+        The run's generator — its :math:`\\xi_H` source.
+    budget:
+        Number of trials ``T``.
+    result:
+        The trials run so far.
+    """
+
+    optimizer: HPOptimizer
+    space: SearchSpace
+    rng: np.random.Generator
+    budget: int
+    result: HPOResult = field(default_factory=HPOResult)
+
+    @classmethod
+    def start(
+        cls,
+        optimizer: HPOptimizer,
+        space: SearchSpace,
+        *,
+        budget: int,
+        random_state=None,
+    ) -> "HPORun":
+        """A run of a deep copy of ``optimizer``, its space prepared."""
+        optimizer = copy.deepcopy(optimizer)
+        budget = check_positive_int(budget, "budget")
+        rng = check_random_state(random_state)
+        return cls(optimizer, optimizer.prepare(space, rng, budget), rng, budget)
+
+
+#: Scores one proposal round.  Called with one ``(run position,
+#: configurations)`` pair per unfinished run, it returns one sequence of
+#: values per pair, in order.
+RoundObjective = Callable[
+    [List[Tuple[int, List[Dict[str, float]]]]], Sequence[Sequence[float]]
+]
+
+
+def optimize_runs(runs: Sequence[HPORun], evaluate: RoundObjective) -> None:
+    """Run every HOpt run to its budget, one proposal round at a time.
+
+    Each round, every unfinished run proposes a batch
+    (:meth:`HPOptimizer.propose_batch`, see the module docstring), one
+    ``evaluate`` call scores the batches of all of them, and each value
+    goes back to its run as a :class:`Trial`.  A run draws from its own
+    generator exactly as it would alone, so its trials do not depend on
+    the runs beside it.  An empty or oversized batch raises
+    ``ValueError``.
+    """
+    while True:
+        proposals = []
+        for position, run in enumerate(runs):
+            left = run.budget - run.result.n_trials
+            if left == 0:
+                continue
+            configs = run.optimizer.propose_batch(
+                run.space, run.result.trials, run.rng, run.budget
+            )
+            if not 0 < len(configs) <= left:
                 raise ValueError(
-                    f"{type(self).__name__}.propose_batch returned {len(configs)} "
-                    f"configurations with {budget - result.n_trials} trials left"
+                    f"{type(run.optimizer).__name__}.propose_batch returned "
+                    f"{len(configs)} configurations with {left} trials left"
                 )
-            values = list(evaluate(configs))
-            check_aligned(configs=configs, values=values)
-            for config, value in zip(configs, values):
-                index = result.n_trials
-                result.trials.append(
-                    Trial(config=dict(config), value=float(value), index=index)
+            proposals.append((position, configs))
+        if not proposals:
+            return
+        values = list(evaluate(proposals))
+        check_aligned(proposals=proposals, values=values)
+        for (position, configs), run_values in zip(proposals, values):
+            run_values = list(run_values)
+            check_aligned(configs=configs, values=run_values)
+            trials = runs[position].result.trials
+            for config, value in zip(configs, run_values):
+                trials.append(
+                    Trial(config=dict(config), value=float(value), index=len(trials))
                 )
-        return result

@@ -60,7 +60,8 @@ class Coordinator:
         per-shard reports, exactly like a merged ``submit`` handle.
     lease_seconds, poll_seconds:
         Queue lease for claimed tasks and the coordinator's poll cadence
-        (positive: zero would spin on the queue).
+        (positive: zero would spin on the queue; ``None``:
+        :attr:`POLL_SECONDS`).
     max_attempts:
         Executions a task gets before a *transient* failure parks it
         (``None``: the queue's default).
@@ -70,6 +71,13 @@ class Coordinator:
         ``repro worker`` processes configure their own.
     """
 
+    #: Poll cadence when the caller names none — the one default for
+    #: ``Session.run_suite(distributed=True)`` and the service's suite
+    #: jobs too.  It bounds how long a finished suite waits before a
+    #: watching coordinator sees it; one watch-only poll costs well under
+    #: a millisecond.
+    POLL_SECONDS = 0.05
+
     def __init__(
         self,
         session: "Session",
@@ -77,7 +85,7 @@ class Coordinator:
         *,
         shard_members: bool = False,
         lease_seconds: float = 30.0,
-        poll_seconds: float = 0.2,
+        poll_seconds: Optional[float] = None,
         max_attempts: Optional[int] = None,
         stall_seconds: Optional[float] = None,
     ) -> None:
@@ -86,6 +94,8 @@ class Coordinator:
                 "distributed suite execution shares work through the per-key "
                 "store and therefore requires a cache_dir"
             )
+        if poll_seconds is None:
+            poll_seconds = self.POLL_SECONDS
         if poll_seconds <= 0:
             raise ValueError("poll_seconds must be positive")
         suite.validate()

@@ -225,7 +225,8 @@ class JobRegistry:
     shard_members, lease_seconds, poll_seconds, max_attempts,
     stall_seconds:
         Scheduler configuration applied to every suite job (see
-        :class:`~repro.sched.coordinator.Coordinator`).
+        :class:`~repro.sched.coordinator.Coordinator`; ``poll_seconds``
+        ``None`` keeps the coordinator's default).
     participate:
         Whether suite-driving coordinator threads execute tasks
         themselves (default) or only watch for external workers.
@@ -238,7 +239,7 @@ class JobRegistry:
         shard_members: bool = False,
         participate: bool = True,
         lease_seconds: float = 30.0,
-        poll_seconds: float = 0.2,
+        poll_seconds: Optional[float] = None,
         max_attempts: Optional[int] = None,
         stall_seconds: Optional[float] = None,
     ) -> None:
@@ -251,7 +252,7 @@ class JobRegistry:
         self.shard_members = bool(shard_members)
         self.participate = bool(participate)
         self.lease_seconds = float(lease_seconds)
-        self.poll_seconds = float(poll_seconds)
+        self.poll_seconds = poll_seconds
         self.max_attempts = max_attempts
         self.stall_seconds = stall_seconds
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()

@@ -473,7 +473,7 @@ class TestRunnerBatching:
         assert all(_measurements_equal(a, b) for a, b in zip(reference, replayed))
         assert cache.hits >= len(items)
 
-    def test_hpo_items_stay_singleton_tasks(self, process):
+    def test_batched_hpo_items_equal_serial(self, process):
         scope = SeedScope.from_state(31)
         hpo_process = BenchmarkProcess(
             process.dataset, process.pipeline, hpo_budget=2
@@ -488,6 +488,16 @@ class TestRunnerBatching:
             executor=ParallelExecutor(1, backend="serial", batch_size=8),
         ).run(items)
         assert all(_measurements_equal(a, b) for a, b in zip(serial, batched))
+
+    def test_plan_batches_chunks_hpo_items_like_any_others(self, process):
+        scope = SeedScope.from_state(43)
+        items = [
+            WorkItem(seeds=scope.child("hpo", i).bundle(), with_hpo=True)
+            for i in range(5)
+        ]
+        tasks, positions = StudyRunner(process, batch_size=4)._plan_batches(items)
+        assert [len(task) for task in tasks] == [4, 1]
+        assert positions == [(0, 1, 2, 3), (4,)]
 
     def test_plan_batches_groups_by_hparams_and_chunks(self, process):
         scope = SeedScope.from_state(41)
@@ -537,6 +547,41 @@ class TestPutMany:
         assert evicted == 2
         assert len(cache) == 2
         assert cache.get(pairs[-1][0]).test_score == 3.0
+
+    @pytest.mark.parametrize("with_store", [True, False], ids=["store", "memory"])
+    def test_put_many_pickles_each_entry_once(self, tmp_path, monkeypatch, with_store):
+        """The memory budget sizes each entry from the bytes the store
+        writes (or, without a store, from one pickle of its own)."""
+        import pickle
+
+        import repro.engine.cache as cache_module
+        from repro.core.benchmark import Measurement
+
+        pairs = [
+            (f"{i:02d}" + "p" * 62, Measurement(test_score=float(i), valid_score=None, train_score=0.5))
+            for i in range(10)
+        ]
+        cache = MeasurementCache(
+            cache_dir=str(tmp_path) if with_store else None, max_bytes=1 << 20
+        )
+        calls = []
+        dumps = pickle.dumps
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module.pickle, "dumps", counting_dumps)
+        cache.put_many(pairs)
+        monkeypatch.undo()
+        assert len(calls) == 10
+        sizes = [
+            len(pickle.dumps(measurement, protocol=pickle.HIGHEST_PROTOCOL))
+            for _, measurement in pairs
+        ]
+        assert cache.stats()["bytes"] == sum(sizes)
+        if with_store:
+            assert cache.store.total_bytes == sum(sizes)
 
 
 # ----------------------------------------------------------------------

@@ -1225,6 +1225,34 @@ class TestPollInterval:
             with pytest.raises(ValueError, match="poll_seconds must be positive"):
                 session.run_suite(suite, distributed=True, poll_seconds=0)
 
+    def test_callers_naming_no_interval_poll_at_the_coordinator_default(
+        self, tmp_path, monkeypatch
+    ):
+        """The service's watch-only suite jobs and ``run_suite`` name no
+        interval, so they poll at the one default ``Coordinator``
+        declares: a finished suite waits at most 50 ms to be seen."""
+        from repro.serve.jobs import JobRegistry
+
+        polled = []
+
+        def record_poll(self, *, participate=True, **kwargs):
+            polled.append((participate, self.poll_seconds))
+            return "driven"
+
+        monkeypatch.setattr(Coordinator, "run", record_poll)
+        suite = _suite(tmp_path / "store")
+        with Session.for_suite(suite) as session:
+            assert session.run_suite(suite, distributed=True) == "driven"
+            registry = JobRegistry(session, participate=False)
+            job = registry.submit_suite(suite.to_dict())
+            deadline = time.monotonic() + 60
+            while not job.terminal and time.monotonic() < deadline:
+                job.wait_events(len(job.events), timeout=1.0)
+            registry.close()
+        assert job.state == "done", job.error
+        assert polled == [(True, 0.05), (False, 0.05)]
+        assert Coordinator.POLL_SECONDS == 0.05
+
 
 # ----------------------------------------------------------------------
 # Shard affinity: workers prefer the member they last committed
