@@ -54,7 +54,6 @@ from repro.api import (
     StudyHandle,
     StudyResult,
     StudySpec,
-    SuiteHandle,
     SuiteResult,
     SuiteSpec,
     get_study,
@@ -119,7 +118,6 @@ __all__ = [
     "StudyHandle",
     "StudyResult",
     "StudySpec",
-    "SuiteHandle",
     "SuiteResult",
     "SuiteSpec",
     "get_study",

@@ -563,25 +563,34 @@ def _suite(args: argparse.Namespace) -> int:
         if args.stall_seconds is not None:
             raise CLIError("--stall-seconds requires --distributed")
     _check_flags(args)
-    scheduler_config = {}
-    if args.distributed:
-        scheduler_config = {
-            "distributed": True,
-            "shard_members": args.shard_members,
-            "lease_seconds": args.lease_seconds,
-            "max_attempts": args.max_attempts,
-            "stall_seconds": args.stall_seconds,
-        }
     session_overrides = {}
     if args.batch_size is not None:
         session_overrides["batch_size"] = args.batch_size
     with Session.for_suite(suite, **session_overrides) as session:
-        result = session.run_suite(
-            suite,
-            resume=args.resume,
-            progress=progress,
-            **scheduler_config,
-        )
+        if args.distributed:
+            from repro.sched import Coordinator  # local: keep CLI start-up light
+
+            # A flag left unset keeps the Coordinator's own default.
+            scheduler_config = {
+                name: value
+                for name, value in (
+                    ("lease_seconds", args.lease_seconds),
+                    ("max_attempts", args.max_attempts),
+                    ("stall_seconds", args.stall_seconds),
+                )
+                if value is not None
+            }
+            coordinator = Coordinator(
+                session,
+                suite,
+                shard_members=args.shard_members,
+                **scheduler_config,
+            )
+            result = coordinator.run(progress=progress, resume=args.resume)
+        else:
+            result = session.run_suite(
+                suite, resume=args.resume, progress=progress
+            )
         print(result.to_json(indent=2) if args.json else result.summary())
     return 0
 

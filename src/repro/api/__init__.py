@@ -13,10 +13,11 @@ launched the same way —
   :func:`get_study`, :func:`smoke_suite`);
 * :mod:`repro.api.session` — :class:`Session`, the facade owning one
   shared measurement cache and executor across studies, with blocking
-  :meth:`~Session.run` / :meth:`~Session.run_suite` (the latter also the
-  front door to the distributed work-queue scheduler via
-  ``distributed=True``, see :mod:`repro.sched`) and streaming
-  :meth:`~Session.submit` / :meth:`~Session.submit_suite`;
+  :meth:`~Session.run`, streaming :meth:`~Session.submit` and the
+  in-process suite loop :meth:`~Session.run_suite` (a suite shared with
+  worker processes runs through
+  :class:`~repro.sched.coordinator.Coordinator` instead, see
+  :mod:`repro.sched`);
 * :mod:`repro.api.results` — :class:`StudyResult` and
   :class:`SuiteResult`, the uniform result envelopes
   (``to_rows`` / ``summary`` / ``to_json``).
@@ -44,7 +45,7 @@ from repro.api.registry import (
     smoke_suite,
 )
 from repro.api.results import StudyResult, SuiteResult, merge_results
-from repro.api.session import Session, StudyHandle, SuiteHandle
+from repro.api.session import Session, StudyHandle
 from repro.api.spec import StudySpec, SuiteSpec
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "merge_results",
     "Session",
     "StudyHandle",
-    "SuiteHandle",
     "StudySpec",
     "SuiteSpec",
 ]

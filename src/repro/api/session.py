@@ -64,7 +64,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -85,7 +84,7 @@ from repro.engine.cache import (
 from repro.engine.executor import CancellableExecutor, ParallelExecutor, StudyCancelled
 from repro.telemetry.tracing import suite_trace_context, trace
 
-__all__ = ["Session", "StudyHandle", "SuiteHandle"]
+__all__ = ["Session", "StudyHandle"]
 
 #: Signature of the optional per-spec progress callback of
 #: :meth:`Session.run_suite`: ``(event, name, index, total, result)`` with
@@ -237,123 +236,6 @@ class StudyHandle:
     __iter__ = partial_results
 
 
-class SuiteHandle:
-    """Future-like handle on a submitted suite (one future per member).
-
-    Iterating yields ``(name, StudyResult)`` pairs in *completion* order —
-    streaming per-spec progress — while :meth:`result` blocks and
-    assembles the :class:`~repro.api.results.SuiteResult` in canonical
-    manifest order, so the envelope is a pure function of the suite, not
-    of scheduling.  Members replayed from resume records are pre-resolved
-    futures and stream first.
-    """
-
-    def __init__(
-        self,
-        suite: SuiteSpec,
-        futures: "Mapping[str, Future[StudyResult]]",
-        *,
-        cancel_event: Optional[threading.Event] = None,
-        session: Optional["Session"] = None,
-    ) -> None:
-        self.suite = suite
-        self._futures: "OrderedDict[str, Future[StudyResult]]" = OrderedDict(futures)
-        self._cancel_event = cancel_event
-        self._session = session
-        # Wall-clock bracket, so SuiteResult.elapsed_seconds means the
-        # same thing here as in run_suite (members overlap on the pool, so
-        # summing per-member times would double-count).
-        self._started = time.perf_counter()
-        self._finished: Optional[float] = None
-        self._pending = len(self._futures)
-        self._clock_lock = threading.Lock()
-        for future in self._futures.values():
-            future.add_done_callback(self._note_done)
-
-    def _note_done(self, _future: "Future[StudyResult]") -> None:
-        with self._clock_lock:
-            self._pending -= 1
-            if self._pending == 0:
-                self._finished = time.perf_counter()
-
-    def __len__(self) -> int:
-        return len(self._futures)
-
-    @property
-    def names(self) -> List[str]:
-        """Member names in canonical (manifest) order."""
-        return list(self._futures)
-
-    def done(self) -> bool:
-        """True when every member has finished (or was cancelled)."""
-        return all(future.done() for future in self._futures.values())
-
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
-        return self._cancel_event is not None and self._cancel_event.is_set()
-
-    def cancel(self) -> bool:
-        """Stop the suite: unstarted members never run, in-flight members
-        abort at their next batch boundary.  Returns ``True`` only when
-        every member was cancelled before starting; ``False`` when any
-        member was already running or finished — including members
-        replayed from resume records, which resolve at submit time."""
-        if self._cancel_event is not None:
-            self._cancel_event.set()
-        return all([future.cancel() for future in self._futures.values()])
-
-    def result(self, timeout: Optional[float] = None) -> SuiteResult:
-        """Block for every member and return the assembled suite result.
-
-        ``elapsed_seconds`` is the wall-clock time from submission to the
-        completion of the last member (matching :meth:`Session.run_suite`
-        semantics), not the sum of per-member times — members overlap on
-        the submit pool.  With a ``cache_dir`` bound it writes the suite's
-        output manifest, as :meth:`Session.run_suite` does; a cancelled
-        handle writes none.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        results: "Dict[str, StudyResult]" = {}
-        for name, future in self._futures.items():
-            remaining = None if deadline is None else deadline - time.monotonic()
-            results[name] = future.result(timeout=remaining)
-        with self._clock_lock:
-            finished = self._finished
-        if finished is None:  # pragma: no cover - all results resolved above
-            finished = time.perf_counter()
-        elapsed = finished - self._started
-        if self._session is None:
-            return SuiteResult(self.suite, results, elapsed_seconds=elapsed)
-        records_dir = (
-            None
-            if self.cancelled()
-            else self._session._suite_records_dir(self.suite)
-        )
-        return self._session._finish_suite(
-            self.suite, records_dir, results, elapsed
-        )
-
-    def partial_results(self) -> Iterator[Tuple[str, StudyResult]]:
-        """Yield ``(name, result)`` as members complete (streaming order).
-
-        Cancelled members are skipped rather than raised, so a consumer
-        can drain whatever completed before a :meth:`cancel`.  Members
-        seen finished together stream in schedule order, so a dependency
-        never follows its dependents.
-        """
-        pending = {future: name for name, future in self._futures.items()}
-        rank = {name: index for index, name in enumerate(self.suite.schedule_order())}
-        while pending:
-            finished, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for name in sorted(map(pending.pop, finished), key=rank.__getitem__):
-                try:
-                    yield name, self._futures[name].result()
-                except (CancelledError, StudyCancelled):
-                    continue
-
-    __iter__ = partial_results
-
-
 class Session:
     """Shared-engine execution context for registered studies.
 
@@ -380,17 +262,17 @@ class Session:
         multi-seed kernel.  ``1`` (default) disables batching.  Results
         are bitwise-identical at any ``batch_size``.
     cache:
-        The shared measurement cache: an existing
-        :class:`~repro.engine.cache.MeasurementCache`, a directory path
-        string (the same as ``cache_dir``), or ``None`` for a fresh
-        in-memory cache.  A path naming an existing regular file, such as
-        a whole-cache pickle from an older version, raises ``ValueError``.
+        An existing :class:`~repro.engine.cache.MeasurementCache` to share,
+        or ``None`` (default) for one the session builds from the
+        arguments below.
     cache_dir:
         Directory for per-key persistence of the shared cache: one file
         per measurement hash, written atomically, so concurrent shard
         workers — and other sessions sharing the directory — persist
-        without lock contention and warm each other transparently.
-        Mutually exclusive with ``cache``.
+        without lock contention and warm each other transparently.  A
+        path naming an existing regular file, such as a whole-cache
+        pickle from an older version, raises ``ValueError``.  Mutually
+        exclusive with ``cache``.
     max_cache_entries, max_cache_bytes:
         LRU budgets applied when the session builds its own cache, keeping
         long sessions bounded in memory (entries evicted from memory stay
@@ -412,7 +294,7 @@ class Session:
         n_jobs: int = 1,
         backend: Optional[str] = None,
         batch_size: int = 1,
-        cache: Union[MeasurementCache, str, None] = None,
+        cache: Optional[MeasurementCache] = None,
         cache_dir: Optional[str] = None,
         max_cache_entries: Optional[int] = None,
         max_cache_bytes: Optional[int] = None,
@@ -420,12 +302,17 @@ class Session:
         max_store_bytes: Optional[int] = None,
         max_concurrent_studies: int = 2,
     ) -> None:
-        if cache_dir is not None and cache is not None:
-            raise ValueError(
-                "cache and cache_dir are mutually exclusive; pass one shared "
-                "cache configuration"
-            )
-        if isinstance(cache, MeasurementCache):
+        if cache is not None:
+            if not isinstance(cache, MeasurementCache):
+                raise TypeError(
+                    "cache must be a MeasurementCache or None; pass a store "
+                    "directory as cache_dir"
+                )
+            if cache_dir is not None:
+                raise ValueError(
+                    "cache and cache_dir are mutually exclusive; pass one "
+                    "shared cache configuration"
+                )
             if max_store_entries is not None or max_store_bytes is not None:
                 raise ValueError(
                     "store budgets cannot be applied to an externally built "
@@ -434,7 +321,7 @@ class Session:
             self.cache = cache
         else:
             self.cache = MeasurementCache(
-                cache_dir=cache if isinstance(cache, str) else cache_dir,
+                cache_dir=cache_dir,
                 max_entries=max_cache_entries,
                 max_bytes=max_cache_bytes,
                 max_store_entries=max_store_entries,
@@ -452,7 +339,6 @@ class Session:
         self.backend = backend
         self.max_concurrent_studies = max(1, int(max_concurrent_studies))
         self._executors: Dict[Tuple[int, str, int], ParallelExecutor] = {}
-        self._spec_caches: Dict[str, MeasurementCache] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._studies_run = 0
@@ -497,18 +383,6 @@ class Session:
                     n_jobs, backend=backend, batch_size=self.batch_size
                 )
             return self._executors[key]
-
-    def _cache_for(self, spec: StudySpec) -> Optional[MeasurementCache]:
-        if spec.cache is True:
-            return self.cache
-        if spec.cache is False:
-            return None
-        with self._lock:
-            if spec.cache not in self._spec_caches:
-                self._spec_caches[spec.cache] = MeasurementCache(
-                    cache_dir=spec.cache
-                )
-            return self._spec_caches[spec.cache]
 
     def _submit_pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -563,7 +437,7 @@ class Session:
         spec, info = self._resolve(spec)
         n_jobs = self.n_jobs if spec.n_jobs is None else spec.n_jobs
         backend = self.backend if spec.backend is None else spec.backend
-        cache = self._cache_for(spec)
+        cache = self.cache if spec.cache else None
         # The view counts this run's own lookups and evictions, so
         # cache_stats stays exact even when concurrent submit() shards
         # share the cache.
@@ -726,16 +600,8 @@ class Session:
         *,
         resume: bool = False,
         progress: Optional[SuiteProgress] = None,
-        distributed: bool = False,
-        shard_members: bool = False,
-        participate: bool = True,
-        lease_seconds: Optional[float] = None,
-        poll_seconds: Optional[float] = None,
-        timeout: Optional[float] = None,
-        max_attempts: Optional[int] = None,
-        stall_seconds: Optional[float] = None,
     ) -> SuiteResult:
-        """Execute every member of ``suite`` through this session.
+        """Execute every member of ``suite`` in this process.
 
         All members share this session's measurement cache and executors,
         so overlapping studies warm each other and a repeated spec replays
@@ -756,63 +622,12 @@ class Session:
         ``progress`` is called per member (``"start"``/``"done"``/
         ``"replay"``) for streaming feedback.
 
-        ``distributed=True`` routes execution through the durable work
-        queue in the cache directory instead of this process alone: tasks
-        are durably enqueued, any number of
-        ``python -m repro worker <cache_dir>`` processes (on this host or
-        any host sharing the directory) claim and execute them under
-        heartbeat leases, and this call streams progress and assembles the
-        bitwise-identical result.  Task state lives in rename-claim files
-        under ``<cache_dir>/queue/<suite.name>/``.  ``participate``
-        (default) makes this session execute tasks too, so zero external
-        workers still complete; ``shard_members``
-        pre-shards members by scope path for finer-grained stealing;
-        ``lease_seconds``/``poll_seconds`` tune the queue (``None``: the
-        :class:`~repro.sched.coordinator.Coordinator` defaults);
-        ``max_attempts`` bounds re-runs after transient failures;
-        ``stall_seconds`` couples this process's lease renewal to study
-        progress; and ``timeout`` bounds the wait (mostly useful with
-        ``participate=False``).
+        To share the work with ``python -m repro worker`` processes
+        instead, drive the suite through the durable work queue with
+        ``Coordinator(session, suite, ...).run(...)`` (see
+        :mod:`repro.sched`): the same records, the same manifest and
+        bitwise-identical rows.
         """
-        if distributed:
-            from repro.sched import Coordinator  # local: sched <- api
-
-            coordinator = Coordinator(
-                self,
-                suite,
-                shard_members=shard_members,
-                lease_seconds=30.0 if lease_seconds is None else lease_seconds,
-                poll_seconds=poll_seconds,
-                max_attempts=max_attempts,
-                stall_seconds=stall_seconds,
-            )
-            return coordinator.run(
-                participate=participate,
-                progress=progress,
-                resume=resume,
-                timeout=timeout,
-            )
-        # Scheduler-only knobs silently doing nothing would mislead the
-        # caller into believing they took effect — same fail-fast rule the
-        # CLI applies to --shard-members/--lease-seconds.
-        ignored = [
-            name
-            for name, misused in (
-                ("shard_members", shard_members),
-                ("participate", participate is not True),
-                ("lease_seconds", lease_seconds is not None),
-                ("poll_seconds", poll_seconds is not None),
-                ("timeout", timeout is not None),
-                ("max_attempts", max_attempts is not None),
-                ("stall_seconds", stall_seconds is not None),
-            )
-            if misused
-        ]
-        if ignored:
-            raise ValueError(
-                f"{ignored} only apply to the distributed scheduler; pass "
-                f"distributed=True"
-            )
         start = time.perf_counter()
         records_dir, replayed = self._replay_suite(suite, resume)
         results: "Dict[str, StudyResult]" = {}
@@ -841,63 +656,11 @@ class Session:
             suite, records_dir, results, time.perf_counter() - start
         )
 
-    def submit_suite(
-        self, suite: SuiteSpec, *, resume: bool = False
-    ) -> SuiteHandle:
-        """Launch ``suite`` asynchronously and return a :class:`SuiteHandle`.
-
-        Members fan out over the session's submit pool (bounded by
-        ``max_concurrent_studies``) against the one shared cache, stream
-        ``(name, result)`` pairs as they complete, and assemble in
-        canonical manifest order on :meth:`SuiteHandle.result`.  Members
-        are submitted in :meth:`~repro.api.spec.SuiteSpec.schedule_order`
-        (so high-priority members reach the pool first) and a member with
-        ``depends_on`` edges blocks until every dependency's future has
-        resolved — topological submission order guarantees the
-        dependencies are already on (or through) the pool, so waiting can
-        never deadlock.  Resume semantics, completion records and trace
-        spans match :meth:`run_suite`; replayed members resolve
-        immediately.
-        """
-        records_dir, replayed = self._replay_suite(suite, resume)
-        pool = self._submit_pool()
-        cancel_event = threading.Event()
-        futures: "Dict[str, Future[StudyResult]]" = {}
-        for name in suite.schedule_order():
-            if name in replayed:
-                futures[name] = Future()
-                futures[name].set_result(replayed[name])
-                continue
-            futures[name] = pool.submit(
-                self._run_suite_member,
-                suite,
-                name,
-                records_dir,
-                cancel_event,
-                [futures[dep] for dep in suite.depends_on.get(name, ())],
-            )
-        return SuiteHandle(
-            suite,
-            OrderedDict((name, futures[name]) for name in suite.names),
-            cancel_event=cancel_event,
-            session=self,
-        )
-
     def _run_suite_member(
-        self,
-        suite: SuiteSpec,
-        name: str,
-        records_dir: Optional[str],
-        cancel_event: Optional[threading.Event] = None,
-        dependencies: "Iterable[Future[StudyResult]]" = (),
+        self, suite: SuiteSpec, name: str, records_dir: Optional[str]
     ) -> StudyResult:
         """Run one member under a ``member/<name>`` span in the suite's
         trace, then write its completion record (with a records_dir)."""
-        # Dependencies were submitted (topologically) before this member,
-        # so they are already running or queued ahead of us on the FIFO
-        # pool — blocking here cannot starve them of a worker.
-        for dependency in dependencies:
-            dependency.result()
         spec = suite[name]
         with trace.span(
             f"member/{name}",
@@ -906,7 +669,7 @@ class Session:
             member=name,
             study=spec.study,
         ):
-            result = self._execute(spec, cancel_event)
+            result = self._execute(spec)
         if records_dir is not None:
             self._write_suite_record(records_dir, name, result)
         return result

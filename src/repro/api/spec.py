@@ -36,7 +36,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.rng import MAX_SEED
 
@@ -93,13 +93,10 @@ class StudySpec:
         ``"serial"``, ``"thread"`` or ``"process"``.  ``None`` inherits
         the session default.
     cache:
-        Cache configuration: ``True`` joins the session's shared
-        :class:`~repro.engine.cache.MeasurementCache`, ``False`` runs
-        uncached, and a string names a dedicated per-key store directory
-        for this study, written through on every measurement like a
-        session's ``cache_dir``.  A string naming an existing regular
-        file, such as a whole-cache pickle from an older version, makes
-        the run raise ``ValueError``.
+        ``True`` (default) joins the session's shared
+        :class:`~repro.engine.cache.MeasurementCache`; ``False`` runs
+        uncached.  Where measurements persist is the session's
+        ``cache_dir``, never the spec's.
     random_state:
         Integer seed in ``[0, 2**32 - 1)``, or ``None`` for fresh entropy.
         Kept as a plain int (never a generator) so the spec stays
@@ -110,7 +107,7 @@ class StudySpec:
     params: Mapping[str, Any] = field(default_factory=dict)
     n_jobs: Optional[int] = None
     backend: Optional[str] = None
-    cache: Union[bool, str] = True
+    cache: bool = True
     random_state: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -133,8 +130,12 @@ class StudySpec:
             raise ValueError(
                 f"backend must be one of {VALID_BACKENDS} or None, got {self.backend!r}"
             )
-        if not isinstance(self.cache, (bool, str)):
-            raise TypeError("cache must be a bool or a cache-file path string")
+        if not isinstance(self.cache, bool):
+            raise TypeError(
+                f"cache must be a bool (join or skip the session's cache), "
+                f"got {self.cache!r}; a store directory is the session's "
+                f"cache_dir"
+            )
         if self.random_state is not None:
             if isinstance(self.random_state, bool) or not isinstance(
                 self.random_state, (int,)

@@ -308,8 +308,9 @@ class FileStore:
         os.makedirs(path, exist_ok=True)
         return path
 
-    def read(self, key: str) -> Optional["Measurement"]:
-        """Load one entry, or ``None`` when absent (or unreadable).
+    def read(self, key: str) -> Optional[Tuple["Measurement", int]]:
+        """Load one entry and its pickled size in bytes, or ``None`` when
+        absent (or unreadable).
 
         A successful read refreshes the entry's file mtime, so garbage
         collection (which evicts oldest-mtime first) observes true
@@ -319,8 +320,9 @@ class FileStore:
         try:
             with open(path, "rb") as handle:
                 measurement = pickle.load(handle)
+                size = handle.tell()
                 STORE_ROUND_TRIPS.labels(op="read").inc()
-                STORE_BYTES.labels(op="read").inc(handle.tell())
+                STORE_BYTES.labels(op="read").inc(size)
         except FileNotFoundError:
             return None
         except (EOFError, pickle.UnpicklingError):  # pragma: no cover - a
@@ -331,7 +333,7 @@ class FileStore:
             os.utime(path)
         except OSError:  # pragma: no cover - entry raced a concurrent gc
             pass
-        return measurement
+        return measurement, size
 
     def write(self, key: str, measurement: "Measurement") -> int:
         """Persist one entry, a batch of one; returns its pickled size."""
@@ -628,20 +630,22 @@ class MeasurementCache:
                 CACHE_MISSES.inc()
                 return None
         # File I/O happens outside the lock; racing a concurrent writer of
-        # the same key is harmless (both persist identical bytes).
-        measurement = self._file_store.read(key)
-        size = 0 if measurement is None else self._size(measurement)
+        # the same key is harmless (both persist identical bytes).  The
+        # store reports the bytes it read, so a hit is not pickled again
+        # to size it.
+        loaded = self._file_store.read(key)
         with self._lock:
-            if measurement is None:
+            if loaded is None:
                 self.misses += 1
                 CACHE_MISSES.inc()
-            else:
-                self.hits += 1
-                self.store_hits += 1
-                CACHE_HITS.inc()
-                CACHE_STORE_HITS.inc()
-                self._insert(key, measurement, size)
-                self._evict()
+                return None
+            measurement, size = loaded
+            self.hits += 1
+            self.store_hits += 1
+            CACHE_HITS.inc()
+            CACHE_STORE_HITS.inc()
+            self._insert(key, measurement, size)
+            self._evict()
         return measurement
 
     def record_hit(self) -> None:
@@ -684,8 +688,8 @@ class MeasurementCache:
             return self._evict()
 
     def _size(self, measurement: "Measurement") -> int:
-        """Pickled size of an entry the store has not written, when the
-        memory budget needs it (0 otherwise)."""
+        """Pickled size of an entry no store has written or read, when
+        the memory budget needs it (0 otherwise)."""
         if self.max_bytes is None:
             return 0
         return len(pickle.dumps(measurement, protocol=pickle.HIGHEST_PROTOCOL))

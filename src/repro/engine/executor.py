@@ -153,10 +153,6 @@ class ParallelExecutor:
     backend:
         ``"serial"``, ``"thread"`` (default for ``n_jobs > 1``) or
         ``"process"``.
-    chunksize:
-        Optional override of the per-task chunk size for the process
-        backend (defaults to an even split across workers, which bounds
-        how many times the function's bound state is pickled).
     batch_size:
         Measurement-batching hint carried on the executor so it reaches
         every :class:`~repro.engine.runner.StudyRunner` built on it without
@@ -170,16 +166,12 @@ class ParallelExecutor:
         n_jobs: int = 1,
         *,
         backend: str = "thread",
-        chunksize: int | None = None,
         batch_size: int = 1,
     ) -> None:
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         self.n_jobs = resolve_n_jobs(n_jobs)
         self.backend = backend
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be a positive integer or None")
-        self.chunksize = chunksize
         if int(batch_size) < 1:
             raise ValueError("batch_size must be a positive integer")
         self.batch_size = int(batch_size)
@@ -214,10 +206,10 @@ class ParallelExecutor:
         """Apply ``fn`` to every item; results keep the submission order.
 
         The process backend runs every map on the executor's one pool
-        (see the module notes), sized ``n_jobs`` and split into chunks of
-        ``ceil(len(items) / min(n_jobs, len(items)))`` items unless
-        ``chunksize`` says otherwise; several threads may map on one
-        executor at once.
+        (see the module notes), sized ``n_jobs`` and split evenly into
+        chunks of ``ceil(len(items) / min(n_jobs, len(items)))`` items, so
+        the function's bound state is pickled once per chunk; several
+        threads may map on one executor at once.
 
         When ``cancel`` is given, the fan-out stops as soon as the event is
         observed set: always before the batch starts, and per item on
@@ -349,9 +341,7 @@ class ParallelExecutor:
                     return _fn(item)
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 return _drain(pool.map(guarded, items), tick, weights, item_done)
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = max(1, -(-len(items) // workers))
+        chunksize = -(-len(items) // workers)
         pool = self._process_pool()
         slot = self._free_slots.get()
         token = next(self._tokens)

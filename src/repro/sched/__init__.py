@@ -19,8 +19,9 @@ suite runner into a multi-worker (and multi-host) system:
   :class:`~repro.api.spec.SuiteSpec` (optionally pre-sharded by scope
   path for fine-grained stealing), streams progress, and assembles the
   same bitwise-identical :class:`~repro.api.results.SuiteResult` as the
-  in-process path — the engine behind
-  ``Session.run_suite(..., distributed=True)``.
+  in-process :meth:`~repro.api.session.Session.run_suite` — the one way
+  into the queue, behind ``repro suite --distributed`` and the study
+  service's suite jobs.
 
 At-least-once execution is safe here because every study derives its
 seeds from scope paths: re-running a stolen task produces bitwise-

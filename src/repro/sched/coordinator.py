@@ -9,8 +9,8 @@ A :class:`Coordinator` owns the lifecycle of one distributed suite run:
    already matches their spec replay without entering the queue at all.
 2. **drive** — watch the queue, stream per-member progress events, and
    (by default) *participate*: the coordinator runs its own worker step
-   between polls, so ``Session.run_suite(..., distributed=True)``
-   completes even with zero external workers, and merely accelerates as
+   between polls, so ``Coordinator(session, suite).run()`` completes
+   even with zero external workers, and merely accelerates as
    ``python -m repro worker`` processes attach.
 3. **assemble** — adapt the committed task records back into
    :class:`~repro.api.results.StudyResult` objects (native attributes
@@ -45,6 +45,11 @@ __all__ = ["Coordinator"]
 class Coordinator:
     """Enqueue, drive and assemble one distributed suite run.
 
+    The one entry point into the work queue: ``repro suite
+    --distributed`` and the study service's suite jobs each build one;
+    :meth:`Session.run_suite <repro.api.session.Session.run_suite>` is
+    the in-process loop and never touches the queue.
+
     Parameters
     ----------
     session:
@@ -72,10 +77,10 @@ class Coordinator:
     """
 
     #: Poll cadence when the caller names none — the one default for
-    #: ``Session.run_suite(distributed=True)`` and the service's suite
-    #: jobs too.  It bounds how long a finished suite waits before a
-    #: watching coordinator sees it; one watch-only poll costs well under
-    #: a millisecond.
+    #: ``repro suite --distributed`` and the service's suite jobs.  It
+    #: bounds how long a finished suite waits before a watching
+    #: coordinator sees it; one watch-only poll costs well under a
+    #: millisecond.
     POLL_SECONDS = 0.05
 
     def __init__(
@@ -347,16 +352,15 @@ class Coordinator:
         A member's first observed activity (any of its tasks leased or
         committed) emits ``start``; full commitment emits ``done`` with
         the *same* index, matching :meth:`Session.run_suite`.  A member
-        that completes between polls emits both back to back.  Members in
+        that completes between polls emits both back to back.  Members
+        stream in plan order, which is schedule order, so members seen
+        finished in one poll stream dependencies first.  Members in
         ``assembled`` (replayed or done) are skipped; a done member's
         adapted result is kept there so the final assembly reuses it
         instead of re-reading records and re-unpickling raws.
         """
-        for member in self.suite.names:
+        for member, tasks in member_tasks.items():
             if member in assembled:
-                continue
-            tasks = member_tasks.get(member, [])
-            if not tasks:
                 continue
             if member not in started_index and any(
                 task.id in state.running or task.id in state.done

@@ -7,13 +7,18 @@ shared :class:`~repro.api.session.Session`:
   (:meth:`Session.submit`), one future per scope-path shard, with the
   per-shard :data:`~repro.api.session.StudyProgress` events recorded on
   the job;
-* **suites** are enqueued through the existing distributed
-  :class:`~repro.sched.coordinator.Coordinator` — durable
+* **suites** go through a :class:`~repro.sched.coordinator.Coordinator`
+  this registry builds itself, the one way into the work queue — durable
   :class:`~repro.sched.queue.TaskQueue` tasks that any external
   ``python -m repro worker <cache_dir>`` drains, with the coordinator
   (by default) participating so zero workers still complete — and the
   per-member :data:`~repro.api.session.SuiteProgress` events recorded on
   the job.
+
+Every measurement either kind of job computes lands in the session's
+own store: a suite's ``cache_dir`` is replaced by the service's, and a
+spec's ``cache`` is a bool (join the shared cache or skip it), so no
+client chooses a path the service writes to or later unpickles from.
 
 Every :class:`Job` carries an append-only, sequence-numbered event log
 guarded by a condition variable: the server-sent-events endpoint replays
@@ -315,7 +320,8 @@ class JobRegistry:
 
         The manifest's ``cache_dir`` is *forced* to the service's own —
         every client shares one store and one queue home, and a client
-        cannot point the service at an arbitrary path.  The coordinator
+        cannot point the service at an arbitrary path (member specs name
+        none either: their ``cache`` is a bool).  The coordinator
         thread streams the standard per-member progress events; external
         ``repro worker`` processes attached to the cache dir drain the
         queue (the coordinator participates too unless the service was

@@ -53,7 +53,7 @@ _specs = st.builds(
     ),
     n_jobs=st.none() | st.integers(min_value=-1, max_value=8),
     backend=st.none() | st.sampled_from(["serial", "thread", "process"]),
-    cache=st.booleans() | st.text(min_size=1, max_size=20),
+    cache=st.booleans(),
     random_state=st.none() | st.integers(min_value=0, max_value=2**31),
 )
 
@@ -97,6 +97,14 @@ class TestStudySpec:
             StudySpec(study="detection", random_state=seed)
         with pytest.raises(ValueError, match="random_state"):
             StudySpec.from_dict({"study": "detection", "random_state": seed})
+
+    def test_cache_must_be_a_bool(self):
+        # A spec joins or skips its session's cache; it never names a
+        # directory, so a service client cannot choose where it writes.
+        with pytest.raises(TypeError, match="cache_dir"):
+            StudySpec(study="sota", cache="elsewhere")
+        with pytest.raises(TypeError, match="bool"):
+            StudySpec.from_dict({"study": "sota", "cache": 1})
 
     def test_unknown_field_rejected_in_from_dict(self):
         with pytest.raises(ValueError, match="unknown StudySpec fields"):
@@ -225,30 +233,6 @@ class TestSessionRun:
             assert result.cache_stats == {}
             assert len(session.cache) == 0
 
-    def test_cache_path_uses_dedicated_file_cache(self, tmp_path):
-        path = str(tmp_path / "warm.pkl")
-        spec = _smoke_spec("hpo_curves", n_jobs=1).replace(cache=path)
-        with Session() as session:
-            session.run(spec)
-            assert len(session.cache) == 0  # shared cache untouched
-            replay = session.run(spec)
-            assert replay.cache_stats["misses"] == 0
-        # Closing the session persisted the file cache: a fresh session
-        # (fresh process, in real use) replays without a single refit.
-        with Session() as fresh:
-            rewarmed = fresh.run(spec)
-        assert rewarmed.cache_stats["misses"] == 0
-        assert rewarmed.cache_stats["hits"] > 0
-
-    def test_session_shared_path_cache_saved_on_close(self, tmp_path):
-        path = str(tmp_path / "shared.pkl")
-        spec = _smoke_spec("hpo_curves", n_jobs=1)
-        with Session(cache=path) as session:
-            session.run(spec)
-        with Session(cache=path) as fresh:
-            replay = fresh.run(spec)
-        assert replay.cache_stats["misses"] == 0
-
     def test_concurrent_shards_report_exact_per_run_stats(self):
         spec = StudySpec(
             study="binomial",
@@ -320,12 +304,12 @@ class TestSessionSubmit:
         assert float(merged.raw.parts[0].gammas[0]) == 0.7
 
     def test_file_cache_persisted_even_after_close(self, tmp_path):
-        path = str(tmp_path / "late.pkl")
-        session = Session()
+        path = str(tmp_path / "late")
+        session = Session(cache_dir=path)
         session.close()
-        session.run(_smoke_spec("hpo_curves", n_jobs=1).replace(cache=path))
-        with Session() as fresh:
-            replay = fresh.run(_smoke_spec("hpo_curves", n_jobs=1).replace(cache=path))
+        session.run(_smoke_spec("hpo_curves", n_jobs=1))
+        with Session(cache_dir=path) as fresh:
+            replay = fresh.run(_smoke_spec("hpo_curves", n_jobs=1))
         assert replay.cache_stats["misses"] == 0
 
     def test_unsharded_study_submits_single_future(self):
@@ -484,11 +468,19 @@ class TestShardParity:
 # Concurrent per-key persistence (Session cache_dir)
 # ----------------------------------------------------------------------
 class TestSessionCacheDir:
+    """``cache_dir`` names a per-key store directory, the one on-disk
+    format: written through on every measurement, never a pickle file."""
+
     def test_cache_dir_persists_and_rewarns(self, tmp_path):
         directory = str(tmp_path / "store")
         spec = _smoke_spec("hpo_curves", n_jobs=1)
         with Session(cache_dir=directory) as session:
             cold = session.run(spec)
+            # Written through at put time, before close().
+            names = sorted(os.listdir(directory))
+            assert "objects" in names
+            assert not [name for name in names if name.endswith(".pkl")]
+            assert len(FileStore(directory)) > 0
         assert cold.cache_stats["misses"] > 0
         with Session(cache_dir=directory) as fresh:
             warm = fresh.run(spec)
@@ -501,7 +493,29 @@ class TestSessionCacheDir:
 
     def test_cache_dir_and_cache_mutually_exclusive(self, tmp_path):
         with pytest.raises(ValueError, match="mutually exclusive"):
-            Session(cache="x.pkl", cache_dir=str(tmp_path))
+            Session(cache=MeasurementCache(), cache_dir=str(tmp_path))
+
+    def test_cache_string_is_rejected_and_creates_nothing(self, tmp_path):
+        # A directory goes to cache_dir; cache takes only a cache object.
+        named = tmp_path / "named-store"
+        with pytest.raises(TypeError, match="cache_dir"):
+            Session(cache=str(named))
+        assert not named.exists()
+
+    def test_spec_cache_false_skips_the_store(self, tmp_path):
+        # cache=False opts a study out of the session's store as well as
+        # its memory: nothing is written, so the next cached run misses.
+        directory = str(tmp_path / "store")
+        spec = _smoke_spec("binomial", n_jobs=1)
+        with Session(cache_dir=directory) as session:
+            uncached = session.run(spec.replace(cache=False))
+            assert uncached.cache_stats == {}
+            assert len(FileStore(directory)) == 0
+            cached = session.run(spec)
+        assert cached.cache_stats["misses"] > 0
+        assert cached.cache_stats.get("hits", 0) == 0
+        assert len(FileStore(directory)) > 0
+        assert cached.to_rows() == uncached.to_rows()
 
     def test_concurrent_sessions_share_cache_dir_without_corruption(self, tmp_path):
         """Two sessions running concurrently against one cache_dir: both
@@ -541,31 +555,6 @@ class TestSessionCacheDir:
         assert result.cache_stats["evictions"] > 0
         assert "evictions=" in result.summary()
 
-
-class TestStringCacheIsAPerKeyStore:
-    """A string cache names a per-key store directory, the one on-disk
-    format: written through on every measurement, never a pickle file."""
-
-    @staticmethod
-    def _assert_per_key_store(directory):
-        names = sorted(os.listdir(directory))
-        assert "objects" in names
-        assert not [name for name in names if name.endswith(".pkl")]
-        assert len(FileStore(directory)) > 0
-
-    def test_spec_cache_string_persists_per_key(self, tmp_path):
-        directory = str(tmp_path / "study-store")
-        spec = _smoke_spec("binomial", n_jobs=1).replace(cache=directory)
-        with Session() as session:
-            cold = session.run(spec)
-            # Written through at put time, before close().
-            self._assert_per_key_store(directory)
-        assert cold.cache_stats["misses"] > 0
-        with Session() as fresh:
-            warm = fresh.run(spec)
-        assert warm.cache_stats["misses"] == 0
-        assert warm.to_rows() == cold.to_rows()
-
     def test_close_writes_nothing_to_the_store(self, tmp_path):
         # The object tree is the store's only record: closing a session
         # that ran a study adds, rewrites and removes no file under it.
@@ -590,28 +579,12 @@ class TestStringCacheIsAPerKeyStore:
         assert len(FileStore(directory)) > 0
         assert files() == before
 
-    def test_session_cache_string_persists_per_key(self, tmp_path):
-        directory = str(tmp_path / "shared-store")
-        spec = _smoke_spec("binomial", n_jobs=1)
-        with Session(cache=directory) as session:
-            cold = session.run(spec)
-            self._assert_per_key_store(directory)
-        with Session(cache=directory) as fresh:
-            warm = fresh.run(spec)
-        assert warm.cache_stats["misses"] == 0
-        assert fresh.cache.store_hits > 0
-        assert warm.to_rows() == cold.to_rows()
-
     def test_existing_file_is_rejected_and_left_alone(self, tmp_path):
         old = tmp_path / "old-cache.pkl"
         old.write_bytes(b"a whole-cache pickle from an older version")
         with pytest.raises(ValueError, match="old-cache.pkl") as error:
-            Session(cache=str(old))
+            Session(cache_dir=str(old))
         assert "per-key store directories" in str(error.value)
-        spec = _smoke_spec("binomial", n_jobs=1).replace(cache=str(old))
-        with Session() as session:
-            with pytest.raises(ValueError, match="old-cache.pkl"):
-                session.run(spec)
         assert old.read_bytes() == b"a whole-cache pickle from an older version"
 
 

@@ -40,7 +40,7 @@ from repro.api import Session, StudySpec, get_study, list_studies
 from repro.core.benchmark import BenchmarkProcess
 from repro.data.dataset import Dataset
 from repro.data.synthetic import make_gaussian_blobs
-from repro.engine.cache import MeasurementCache
+from repro.engine.cache import FileStore, MeasurementCache
 from repro.engine.executor import CancellableExecutor, ParallelExecutor
 from repro.engine.runner import StudyRunner, WorkItem
 from repro.engine.shm import DatasetHandle, SharedDatasetArena, shared_arena
@@ -582,6 +582,62 @@ class TestPutMany:
         assert cache.stats()["bytes"] == sum(sizes)
         if with_store:
             assert cache.store.total_bytes == sum(sizes)
+
+    def test_store_hits_are_sized_without_pickling(self, tmp_path, monkeypatch):
+        """A store hit is sized from the bytes the store read, so a fresh
+        cache replaying a persisted store pickles nothing."""
+        import pickle
+
+        import repro.engine.cache as cache_module
+        from repro.core.benchmark import Measurement
+
+        pairs = [
+            (f"{i:02d}" + "g" * 62, Measurement(test_score=float(i), valid_score=None, train_score=0.5))
+            for i in range(10)
+        ]
+        MeasurementCache(cache_dir=str(tmp_path)).put_many(pairs)
+        cache = MeasurementCache(cache_dir=str(tmp_path), max_bytes=1 << 20)
+        calls = []
+        dumps = pickle.dumps
+
+        def counting_dumps(*args, **kwargs):
+            calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module.pickle, "dumps", counting_dumps)
+        replayed = [cache.get(key) for key, _ in pairs]
+        monkeypatch.undo()
+        assert calls == []
+        assert [m.test_score for m in replayed] == [m.test_score for _, m in pairs]
+        assert cache.store_hits == 10
+        assert cache.stats()["bytes"] == cache.store.total_bytes
+
+    def test_store_hits_respect_the_memory_byte_budget(self, tmp_path):
+        """The sizes a store read reports are the ones the ``max_bytes``
+        budget evicts by: replaying more than fits keeps the most recent
+        entries within budget."""
+        from repro.core.benchmark import Measurement
+
+        pairs = [
+            (f"{i:02d}" + "b" * 62, Measurement(test_score=float(i), valid_score=None, train_score=0.5))
+            for i in range(10)
+        ]
+        MeasurementCache(cache_dir=str(tmp_path)).put_many(pairs)
+        sizes = [FileStore(str(tmp_path)).read(key)[1] for key, _ in pairs]
+        budget = sum(sizes[-3:])
+        assert budget < sum(sizes) and max(sizes) <= budget
+        cache = MeasurementCache(cache_dir=str(tmp_path), max_bytes=budget)
+        for key, _ in pairs:
+            cache.get(key)
+        assert cache.store_hits == 10
+        assert 0 < cache.total_bytes <= budget
+        assert cache.evictions == 10 - len(cache)
+        assert cache.total_bytes == sum(sizes[-len(cache):])
+        # The most recent entries survive in memory: reading them again
+        # touches the store no more.
+        for key, _ in pairs[-len(cache):]:
+            assert cache.get(key) is not None
+        assert cache.store_hits == 10
 
 
 # ----------------------------------------------------------------------

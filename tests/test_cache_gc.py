@@ -95,7 +95,7 @@ class TestFileStoreBudgets:
         store.write("bb22", "b")
         _set_mtime(store, "aa11", 300)
         _set_mtime(store, "bb22", 200)
-        assert store.read("aa11") == "a"  # refresh: aa11 now most recent
+        assert store.read("aa11")[0] == "a"  # refresh: aa11 now most recent
         store.write("cc33", "c")
         assert sorted(store.keys()) == ["aa11", "cc33"]
 
@@ -105,7 +105,7 @@ class TestFileStoreBudgets:
         store.write("bigbig", "x" * 4096)
         # The oversized write evicted everything else but itself persists.
         assert store.keys() == ["bigbig"]
-        assert store.read("bigbig") == "x" * 4096
+        assert store.read("bigbig")[0] == "x" * 4096
 
     def test_invalid_budgets_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ class TestExplicitGC:
         with open(os.path.join(shard, "junk789.tmp"), "w") as handle:
             handle.write("garbage")
         assert store.keys() == ["aa11"]
-        assert store.read("aa11") == "a"
+        assert store.read("aa11")[0] == "a"
 
     def test_concurrent_writers_share_one_budget(self, tmp_path):
         """Two writers hammering one directory with a shared byte budget:
@@ -199,7 +199,7 @@ class TestExplicitGC:
         assert final.total_bytes <= budget
         # Surviving entries are intact (no torn reads after all that GC).
         for key in final.keys():
-            assert final.read(key) == "x" * 64
+            assert final.read(key)[0] == "x" * 64
 
 
     @pytest.mark.parametrize(

@@ -232,7 +232,7 @@ class TestFileStore:
         assert len(store) == 0
         size = store.write("deadbeef", {"score": 1.0})
         assert size > 0
-        assert store.read("deadbeef") == {"score": 1.0}
+        assert store.read("deadbeef") == ({"score": 1.0}, size)
         assert "deadbeef" in store
         store.write("dd00aa", [1, 2, 3])
         assert sorted(store.keys()) == ["dd00aa", "deadbeef"]
@@ -241,7 +241,7 @@ class TestFileStore:
         store = FileStore(str(tmp_path))
         store.write("aa11", "first")
         store.write("aa11", "second")
-        assert store.read("aa11") == "second"
+        assert store.read("aa11")[0] == "second"
         assert len(store) == 1
 
     def test_invalid_keys_rejected(self, tmp_path):
@@ -265,7 +265,7 @@ class TestFileStore:
             handle.write(old)
         assert store.keys() == ["aa11", "bb22", "cc33"]
         assert len(store) == 3
-        assert [store.read(key) for key in store.keys()] == store.keys()
+        assert [store.read(key)[0] for key in store.keys()] == store.keys()
         assert store.read("ee55") is None
         stats = store.gc(max_entries=1)
         assert stats["removed_entries"] == 2 and stats["entries"] == 1
@@ -734,7 +734,7 @@ class TestBoundedAttachments:
 
 
             def main():
-                executor = ParallelExecutor(2, backend="process", chunksize=1)
+                executor = ParallelExecutor(2, backend="process")
                 executor.map(probe, range(2))  # fork before any publish
                 rng = np.random.default_rng(0)
                 for _ in range(2 * shm._MAX_ATTACHED + 2):

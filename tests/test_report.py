@@ -29,6 +29,7 @@ from repro.report import (
     write_suite_reports,
 )
 from repro.report.builder import _dump
+from repro.sched import Coordinator
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -275,19 +276,17 @@ class TestCrossPathParity:
         # Path 3: distributed queue (in-process participant drains it).
         dist_dir = tmp_path / "dist"
         dist_session = Session.for_suite(_suite(dist_dir))
-        dist_session.run_suite(
-            _suite(dist_dir), distributed=True, poll_seconds=0.05
-        )
+        Coordinator(dist_session, _suite(dist_dir), poll_seconds=0.05).run()
         dist_payload = build_suite_report(str(dist_dir), "prov-suite")
         from_queue = _dump(dist_payload["members"][0])
 
         assert from_run == from_suite
         assert from_suite == from_queue
 
-    def test_suite_index_byte_identical_from_run_suite_and_submit_suite(
+    def test_suite_index_byte_identical_from_run_suite_and_coordinator(
         self, tmp_path
     ):
-        """Every executor writes the suite manifest, so the index lists
+        """Both executors write the suite manifest, so the index lists
         members in declaration order (``zeta`` first) either way."""
 
         def suite(cache_dir):
@@ -300,13 +299,13 @@ class TestCrossPathParity:
                 cache_dir=str(cache_dir),
             )
 
-        run_dir, submit_dir = tmp_path / "run", tmp_path / "submit"
+        run_dir, queue_dir = tmp_path / "run", tmp_path / "queue"
         with Session.for_suite(suite(run_dir)) as session:
             session.run_suite(suite(run_dir))
-        with Session.for_suite(suite(submit_dir)) as session:
-            session.submit_suite(suite(submit_dir)).result()
+        with Session.for_suite(suite(queue_dir)) as session:
+            Coordinator(session, suite(queue_dir), poll_seconds=0.05).run()
         indexes = {}
-        for cache_dir in (run_dir, submit_dir):
+        for cache_dir in (run_dir, queue_dir):
             payload, paths = write_suite_reports(str(cache_dir), "order-suite")
             names = [member["name"] for member in payload["members"]]
             assert names == ["zeta", "alpha"]
@@ -316,4 +315,4 @@ class TestCrossPathParity:
                 if os.path.basename(path).startswith("index.")
             }
         assert sorted(indexes[run_dir]) == ["index.json", "index.md"]
-        assert indexes[run_dir] == indexes[submit_dir]
+        assert indexes[run_dir] == indexes[queue_dir]

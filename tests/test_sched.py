@@ -35,7 +35,7 @@ from repro.__main__ import main
 from repro.api import Session, StudySpec, SuiteSpec
 from repro.engine.cache import dump_fidelity
 from repro.sched import Coordinator, TaskQueue, TaskRecord, Worker
-from repro.sched.queue import retry_not_before
+from repro.sched.queue import DEFAULT_MAX_ATTEMPTS, retry_not_before
 from repro.telemetry import set_enabled
 from repro.telemetry.instruments import SCHED_BACKOFF_GATED, SCHED_CLAIMS
 
@@ -762,10 +762,7 @@ class TestDistributedExecution:
         )
         events = []
         with Session.for_suite(suite) as session:
-            result = session.run_suite(
-                suite,
-                distributed=True,
-                poll_seconds=0.05,
+            result = Coordinator(session, suite, poll_seconds=0.05).run(
                 progress=lambda event, name, *rest: events.append((event, name)),
             )
         done_order = [name for event, name in events if event == "done"]
@@ -774,6 +771,110 @@ class TestDistributedExecution:
             "fig2-binomial"
         )
         assert result.names == suite.names  # canonical assembly order
+
+    def test_streams_and_assembles_in_canonical_order(self, tmp_path):
+        # Each member streams one start and one done under the same
+        # index; the streamed results are the ones the suite assembles,
+        # in manifest order whatever the completion order.
+        suite = _suite(
+            tmp_path / "store", priorities={"figC1-sample-size": 10}
+        )
+        events = []
+        with Session.for_suite(suite) as session:
+            result = Coordinator(session, suite, poll_seconds=0.05).run(
+                progress=lambda *event: events.append(event)
+            )
+        starts = {
+            name: index
+            for event, name, index, _, _ in events
+            if event == "start"
+        }
+        streamed = {
+            name: (index, done)
+            for event, name, index, _, done in events
+            if event == "done"
+        }
+        assert len(events) == 2 * len(suite)
+        assert set(starts) == set(streamed) == set(suite.names)
+        assert sorted(starts.values()) == list(range(len(suite)))
+        assert result.names == suite.names
+        assert result.names != [event[1] for event in events if event[0] == "done"]
+        for name in suite.names:
+            index, done = streamed[name]
+            assert index == starts[name], name
+            assert _rows(done) == _rows(result[name]), name
+
+    def test_members_finished_together_stream_in_schedule_order(
+        self, tmp_path
+    ):
+        # A watching coordinator that first polls once every task is
+        # committed sees all members finished at once; they still stream
+        # dependencies first, numbered like the in-process loop.
+        suite = _suite(
+            tmp_path / "store",
+            depends_on={"fig1-variance": ["figC1-sample-size"]},
+        )
+        order = suite.schedule_order()
+        assert order.index("figC1-sample-size") < order.index("fig1-variance")
+        events = []
+        with Session.for_suite(suite) as session:
+            coordinator = Coordinator(session, suite, poll_seconds=0.05)
+            coordinator.enqueue()
+            stats = Worker(str(tmp_path / "store"), poll_seconds=0.05).run(
+                exit_when_done=True, timeout=240
+            )
+            assert stats.committed == len(suite)
+            result = coordinator.run(
+                participate=False,
+                timeout=60,
+                progress=lambda event, name, index, *rest: events.append(
+                    (event, name, index)
+                ),
+            )
+        assert events == [
+            (event, name, index)
+            for index, name in enumerate(order)
+            for event in ("start", "done")
+        ]
+        assert result.names == suite.names
+
+    def test_full_resume_completes_without_any_worker(self, tmp_path):
+        # Replayed members resolve from their records at enqueue: a
+        # watch-only coordinator with no worker anywhere still finishes.
+        suite = _suite(tmp_path / "store")
+        with Session.for_suite(suite) as session:
+            cold = session.run_suite(suite)
+        with Session.for_suite(suite) as session:
+            coordinator = Coordinator(session, suite, poll_seconds=0.05)
+            assert list(coordinator.enqueue(resume=True)) == suite.schedule_order()
+            assert coordinator.queue.plan() == []
+            resumed = coordinator.run(participate=False, resume=True, timeout=30)
+        assert resumed.replayed == suite.names
+        for name in suite.names:
+            assert _rows(resumed[name]) == _rows(cold[name]), name
+
+    def test_watch_only_run_times_out_and_leaves_a_joinable_queue(
+        self, tmp_path
+    ):
+        # With no worker, a watch-only run gives up at its timeout instead
+        # of hanging; the queue stays, so a worker can drain it later and
+        # a resuming coordinator assembles the suite from it.
+        suite = _suite(tmp_path / "store")
+        with Session.for_suite(suite) as session:
+            coordinator = Coordinator(session, suite, poll_seconds=0.05)
+            with pytest.raises(TimeoutError, match="0/3 tasks done"):
+                coordinator.run(participate=False, timeout=0.2)
+            queue = coordinator.queue
+            assert queue.snapshot().pending == {task.id for task in queue.plan()}
+            stats = Worker(str(tmp_path / "store"), poll_seconds=0.05).run(
+                exit_when_done=True, timeout=240
+            )
+            assert stats.committed == len(suite)
+            joined = Coordinator(session, suite, poll_seconds=0.05).run(
+                participate=False, resume=True, timeout=60
+            )
+        assert joined.names == suite.names
+        assert joined.replayed == []
 
     def test_distributed_resume_replays_like_in_process(self, tmp_path):
         # Priorities make schedule order differ from manifest order; both
@@ -787,18 +888,17 @@ class TestDistributedExecution:
         streams = {}
         for distributed in (False, True):
             events = []
-            kwargs = (
-                {"distributed": True, "poll_seconds": 0.05}
-                if distributed
-                else {}
-            )
+
+            def progress(*event):
+                events.append(event[:4])
+
             with Session.for_suite(suite) as session:
-                session.run_suite(
-                    suite,
-                    resume=True,
-                    progress=lambda *event: events.append(event[:4]),
-                    **kwargs,
-                )
+                if distributed:
+                    Coordinator(session, suite, poll_seconds=0.05).run(
+                        resume=True, progress=progress
+                    )
+                else:
+                    session.run_suite(suite, resume=True, progress=progress)
             streams[distributed] = events
         assert streams[True] == streams[False] == [
             ("replay", "figC1-sample-size", 0, 3),
@@ -811,17 +911,10 @@ class TestDistributedExecution:
         # commit/load_raw path), then resume.
         suite = _suite(tmp_path / "store")
         with Session.for_suite(suite) as session:
-            cold = session.run_suite(
-                suite,
-                distributed=True,
-                poll_seconds=0.05,
-            )
+            cold = Coordinator(session, suite, poll_seconds=0.05).run()
         with Session.for_suite(suite) as session:
-            resumed = session.run_suite(
-                suite,
-                distributed=True,
-                resume=True,
-                poll_seconds=0.05,
+            resumed = Coordinator(session, suite, poll_seconds=0.05).run(
+                resume=True
             )
         assert resumed.replayed == suite.names
         for name in suite.names:
@@ -871,8 +964,9 @@ class TestDistributedExecution:
             cache_dir=str(tmp_path / "store"),
         )
         with Session.for_suite(bad) as session:
+            coordinator = Coordinator(session, bad, poll_seconds=0.05)
             with pytest.raises(RuntimeError, match="boom"):
-                session.run_suite(bad, distributed=True, poll_seconds=0.05)
+                coordinator.run()
 
     @pytest.mark.skipif(os.name != "posix", reason="SIGKILL semantics")
     def test_sigkilled_worker_tasks_are_stolen_and_completed(
@@ -1077,6 +1171,14 @@ class TestWorkerLifecycle:
         assert queue.load_record("m") is not None
 
 
+class _Driven:
+    """What a patched ``Coordinator.run`` returns: enough for ``repro
+    suite`` to print and for a service job to finish."""
+
+    def summary(self):
+        return "driven"
+
+
 # ----------------------------------------------------------------------
 # Worker CLI
 # ----------------------------------------------------------------------
@@ -1107,20 +1209,6 @@ class TestWorkerCLI:
     def test_worker_rejects_missing_cache_dir(self, tmp_path, capsys):
         assert main(["worker", str(tmp_path / "nope")]) == 2
         assert "no cache directory" in capsys.readouterr().err
-
-    def test_run_suite_rejects_scheduler_knobs_without_distributed(
-        self, tmp_path
-    ):
-        suite = _suite(tmp_path / "store")
-        with Session.for_suite(suite) as session:
-            with pytest.raises(ValueError, match="distributed=True"):
-                session.run_suite(suite, shard_members=True)
-            with pytest.raises(ValueError, match="timeout"):
-                session.run_suite(suite, timeout=10.0)
-            with pytest.raises(ValueError, match="max_attempts"):
-                session.run_suite(suite, max_attempts=5)
-            with pytest.raises(ValueError, match="stall_seconds"):
-                session.run_suite(suite, stall_seconds=60.0)
 
     def test_suite_scheduler_flags_require_distributed(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -1159,6 +1247,43 @@ class TestWorkerCLI:
             == 2
         )
         assert "--max-attempts must be at least 1" in capsys.readouterr().err
+
+    def test_suite_distributed_flags_reach_the_coordinator(
+        self, tmp_path, monkeypatch
+    ):
+        """``repro suite --distributed`` builds the Coordinator from the
+        flags the user set; a flag left unset keeps its default."""
+        built = []
+
+        def record_run(self, *, participate=True, **kwargs):
+            built.append(
+                (
+                    self.shard_members,
+                    self.queue.lease_seconds,
+                    self.queue.max_attempts,
+                    self.stall_seconds,
+                    self.poll_seconds,
+                    participate,
+                )
+            )
+            return _Driven()
+
+        monkeypatch.setattr(Coordinator, "run", record_run)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(_suite(tmp_path / "store").to_json())
+        flags = [
+            "--shard-members",
+            "--lease-seconds", "5",
+            "--max-attempts", "2",
+            "--stall-seconds", "7",
+        ]
+        assert main(["suite", str(manifest), "--distributed", *flags]) == 0
+        assert main(["suite", str(manifest), "--distributed"]) == 0
+        poll = Coordinator.POLL_SECONDS
+        assert built == [
+            (True, 5.0, 2, 7.0, poll, True),
+            (False, 30.0, DEFAULT_MAX_ATTEMPTS, None, poll, True),
+        ]
 
     def test_queue_status_reports_every_suite(self, tmp_path, capsys):
         store = tmp_path / "store"
@@ -1222,27 +1347,28 @@ class TestPollInterval:
         with Session.for_suite(suite) as session:
             with pytest.raises(ValueError, match="poll_seconds must be positive"):
                 Coordinator(session, suite, poll_seconds=poll_seconds)
-            with pytest.raises(ValueError, match="poll_seconds must be positive"):
-                session.run_suite(suite, distributed=True, poll_seconds=0)
 
     def test_callers_naming_no_interval_poll_at_the_coordinator_default(
         self, tmp_path, monkeypatch
     ):
-        """The service's watch-only suite jobs and ``run_suite`` name no
-        interval, so they poll at the one default ``Coordinator``
-        declares: a finished suite waits at most 50 ms to be seen."""
+        """The service's watch-only suite jobs and ``repro suite
+        --distributed`` name no interval, so they poll at the one default
+        ``Coordinator`` declares: a finished suite waits at most 50 ms to
+        be seen."""
         from repro.serve.jobs import JobRegistry
 
         polled = []
 
         def record_poll(self, *, participate=True, **kwargs):
             polled.append((participate, self.poll_seconds))
-            return "driven"
+            return _Driven()
 
         monkeypatch.setattr(Coordinator, "run", record_poll)
         suite = _suite(tmp_path / "store")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(suite.to_json())
+        assert main(["suite", str(manifest), "--distributed"]) == 0
         with Session.for_suite(suite) as session:
-            assert session.run_suite(suite, distributed=True) == "driven"
             registry = JobRegistry(session, participate=False)
             job = registry.submit_suite(suite.to_dict())
             deadline = time.monotonic() + 60

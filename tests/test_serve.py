@@ -424,6 +424,25 @@ class TestSuiteJobs:
 
             assert not os.path.exists(elsewhere)
 
+    def test_client_named_cache_path_is_400_and_never_created(self, tmp_path):
+        """A spec's ``cache`` joins or skips the service's store; a path
+        there would have the service write, and later unpickle,
+        measurements wherever the client chose."""
+        import os
+
+        elsewhere = str(tmp_path / "elsewhere")
+        study = dict(CACHED_STUDY.to_dict(), cache=elsewhere)
+        sizes, noise = SUITE["specs"]
+        member = dict(noise, spec=dict(noise["spec"], cache=elsewhere))
+        suite = dict(SUITE, specs=[sizes, member])
+        with serving(tmp_path) as server:
+            for path, payload in (("/v1/studies", study), ("/v1/suites", suite)):
+                status, body = _post(server, path, payload)
+                assert status == 400, (path, body)
+                assert "cache must be a bool" in body["error"]
+            assert _get(server, "/v1/jobs") == (200, [])
+        assert not os.path.exists(elsewhere)
+
 
 class TestShutdown:
     def test_graceful_shutdown_cancels_live_jobs_and_ends_streams(

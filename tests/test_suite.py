@@ -1,4 +1,4 @@
-"""Tests for suite manifests (SuiteSpec / run_suite / submit_suite).
+"""Tests for suite manifests (SuiteSpec / run_suite).
 
 Covers the workflow-as-data contract end to end:
 
@@ -10,14 +10,14 @@ Covers the workflow-as-data contract end to end:
 * resume — completed members replay from their records with zero cache
   lookups, a changed spec invalidates its record, and the shared on-disk
   store never exceeds its configured byte budget;
-* ``submit_suite`` — streaming per-member results, canonical assembly
-  order and cancellation;
+* records — the in-process loop and the queue ``Coordinator`` each write
+  and load every member's completion record once;
 * the CLI acceptance path: ``python -m repro suite manifest.json`` cold,
   then ``--resume`` with zero misses.
 """
 
+import inspect
 import json
-from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +32,8 @@ from repro.api import (
     list_studies,
     smoke_suite,
 )
-from repro.api.session import SuiteHandle
 from repro.engine.cache import FileStore, atomic_write
+from repro.sched import Coordinator
 
 ALL_STUDIES = list_studies()
 
@@ -312,8 +312,6 @@ class TestSuiteResume:
         with Session() as session:
             with pytest.raises(ValueError, match="cache_dir"):
                 session.run_suite(suite, resume=True)
-            with pytest.raises(ValueError, match="cache_dir"):
-                session.submit_suite(suite, resume=True)
 
     def test_progress_events_stream_in_order(self, tmp_path):
         suite = _make_suite(tmp_path / "store")
@@ -356,7 +354,7 @@ class TestSuiteResume:
         manifest = json.loads((records / "manifest.json").read_text())
         assert [entry["name"] for entry in manifest["results"]] == suite.names
 
-    @pytest.mark.parametrize("executor", ["run", "submit", "distributed"])
+    @pytest.mark.parametrize("executor", ["run", "distributed"])
     def test_every_executor_writes_and_loads_each_record_once(
         self, tmp_path, monkeypatch, executor
     ):
@@ -389,12 +387,9 @@ class TestSuiteResume:
 
         def run(suite, resume):
             with Session.for_suite(suite) as session:
-                if executor == "submit":
-                    return session.submit_suite(suite, resume=resume).result()
                 if executor == "distributed":
-                    return session.run_suite(
-                        suite, resume=resume, distributed=True, poll_seconds=0.05
-                    )
+                    coordinator = Coordinator(session, suite, poll_seconds=0.05)
+                    return coordinator.run(resume=resume)
                 return session.run_suite(suite, resume=resume)
 
         suite = _make_suite(tmp_path / "store")
@@ -405,58 +400,6 @@ class TestSuiteResume:
         assert sorted(loads) == sorted(suite.names)
         assert sorted(writes) == sorted(suite.names)  # nothing re-written
         assert resumed.replayed == suite.names
-
-
-# ----------------------------------------------------------------------
-# submit_suite: streaming handles
-# ----------------------------------------------------------------------
-class TestSubmitSuite:
-    def test_streams_and_assembles_in_canonical_order(self, tmp_path):
-        suite = _make_suite(tmp_path / "store")
-        with Session.for_suite(suite) as session:
-            handle = session.submit_suite(suite)
-            assert len(handle) == 3
-            assert handle.names == suite.names
-            streamed = dict(handle)
-            result = handle.result()
-            assert handle.done()
-        assert set(streamed) == set(suite.names)
-        assert result.names == suite.names  # canonical, not completion, order
-        for name in suite.names:
-            assert _rows(result[name]) == _rows(streamed[name]), name
-
-    def test_submit_suite_equals_run_suite_bitwise(self, tmp_path):
-        suite = _make_suite(tmp_path / "a")
-        with Session.for_suite(suite) as session:
-            sequential = session.run_suite(suite)
-        suite_b = suite.replace(cache_dir=str(tmp_path / "b"))
-        with Session.for_suite(suite_b) as session:
-            concurrent = session.submit_suite(suite_b).result()
-        for name in suite.names:
-            assert _rows(sequential[name]) == _rows(concurrent[name]), name
-
-    def test_resume_members_resolve_immediately(self, tmp_path):
-        suite = _make_suite(tmp_path / "store")
-        with Session.for_suite(suite) as session:
-            session.run_suite(suite)
-        with Session.for_suite(suite) as session:
-            handle = session.submit_suite(suite, resume=True)
-            # Replayed members are pre-resolved futures.
-            assert handle.done()
-            result = handle.result()
-        assert result.replayed == suite.names
-
-    def test_cancel_drains_without_hanging(self, tmp_path):
-        suite = _make_suite(tmp_path / "store")
-        with Session.for_suite(suite, max_concurrent_studies=1) as session:
-            handle = session.submit_suite(suite)
-            handle.cancel()
-            assert handle.cancelled()
-            drained = dict(handle.partial_results())
-            assert handle.done()
-        # Whatever completed before the cancel is still readable.
-        for result in drained.values():
-            assert result.to_rows()
 
 
 # ----------------------------------------------------------------------
@@ -497,38 +440,19 @@ class TestInProcessScheduling:
             "fig1-variance"
         )
 
-    def test_submit_suite_blocks_dependents_on_dependencies(self, tmp_path):
-        suite = _make_suite(tmp_path / "store").replace(
-            depends_on={
-                "fig2-binomial": ["fig1-variance"],
-                "figC1-sample-size": ["fig2-binomial"],
-            }
-        )
-        done_order = []
-        with Session.for_suite(suite, max_concurrent_studies=3) as session:
-            handle = session.submit_suite(suite)
-            for name, _ in handle:
-                done_order.append(name)
-            handle.result()
-        assert done_order == [
-            "fig1-variance",
-            "fig2-binomial",
-            "figC1-sample-size",
-        ]
-
-    def test_members_finished_together_stream_in_schedule_order(self, tmp_path):
-        # A consumer that falls behind sees several members finished at
-        # once; they must still stream dependencies first.
-        suite = _make_suite(tmp_path / "store").replace(
-            depends_on={"fig1-variance": ["figC1-sample-size"]}
-        )
-        futures = {}
-        for name in suite.names:
-            futures[name] = Future()
-            futures[name].set_result(name)
-        streamed = list(SuiteHandle(suite, futures))
-        assert [name for name, _ in streamed] == suite.schedule_order()
-        assert all(name == result for name, result in streamed)
+    def test_run_suite_takes_no_scheduler_knobs(self, tmp_path):
+        # run_suite is only the in-process loop; the queue's one way in
+        # is Coordinator, so a scheduler keyword is an error that
+        # enqueues nothing.
+        suite = _make_suite(tmp_path / "store")
+        with Session.for_suite(suite) as session:
+            with pytest.raises(TypeError, match="distributed"):
+                session.run_suite(suite, distributed=True)
+        assert not (tmp_path / "store" / "queue").exists()
+        parameters = inspect.signature(Session.run_suite).parameters
+        assert list(parameters) == ["self", "suite", "resume", "progress"]
+        assert parameters["resume"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert parameters["progress"].kind is inspect.Parameter.KEYWORD_ONLY
 
     def test_bitwise_identical_regardless_of_scheduling(self, tmp_path):
         plain = _make_suite(tmp_path / "a")
@@ -621,3 +545,18 @@ class TestSuiteCLIAcceptance:
             r["rows"] for r in cold["results"]
         ]
         assert FileStore(str(directory)).total_bytes <= STORE_BUDGET
+
+    def test_member_naming_a_cache_path_is_rejected(self, tmp_path, capsys):
+        # Where measurements persist is the suite's cache_dir; a member
+        # spec that names its own directory fails before anything runs.
+        elsewhere = tmp_path / "elsewhere"
+        payload = _make_suite(tmp_path / "store").to_dict()
+        payload["specs"][1]["spec"]["cache"] = str(elsewhere)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        assert main(["suite", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed suite manifest" in err
+        assert "'fig2-binomial'" in err and "cache_dir" in err
+        assert not elsewhere.exists()
+        assert not (tmp_path / "store").exists()

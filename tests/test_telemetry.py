@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.api import Session, StudySpec, SuiteSpec, get_study
-from repro.sched import TaskQueue, TaskRecord, Worker
+from repro.sched import Coordinator, TaskQueue, TaskRecord, Worker
 from repro.serve import StudyServer
 from repro.serve.jobs import Job, JobRegistry
 from repro.telemetry import (
@@ -447,13 +447,11 @@ class TestParity:
             suite = make_suite(
                 tmp_path / tag, name="telemetry-dist", members=PARITY_MEMBERS
             )
-            kwargs = (
-                {"distributed": True, "poll_seconds": 0.05}
-                if distributed
-                else {}
-            )
             with Session.for_suite(suite) as session:
-                result = session.run_suite(suite, **kwargs)
+                if distributed:
+                    result = Coordinator(session, suite, poll_seconds=0.05).run()
+                else:
+                    result = session.run_suite(suite)
             return {name: _rows(result[name]) for name in suite.names}
 
         distributed_on = _with_telemetry(
@@ -475,7 +473,7 @@ class TestDistributedTrace:
         name = "telemetry-tree"
         suite = make_suite(tmp_path, name=name, members=PARITY_MEMBERS)
         with Session.for_suite(suite) as session:
-            session.run_suite(suite, distributed=True, poll_seconds=0.05)
+            Coordinator(session, suite, poll_seconds=0.05).run()
         spans = filter_suite(load_spans(str(tmp_path)), name)
         assert spans, "distributed run persisted no spans"
         context = suite_trace_context(name)
@@ -513,28 +511,25 @@ class TestDistributedTrace:
         }
         assert all(s["attrs"].get("cached") for s in replays)
 
-    def test_submitted_suite_spans_join_the_suite_trace(self, tmp_path):
-        name = "telemetry-submit"
+    def test_in_process_suite_spans_join_the_suite_trace(self, tmp_path):
+        name = "telemetry-in-process"
         suite = make_suite(tmp_path, name=name, members=PARITY_MEMBERS)
         with Session.for_suite(suite) as session:
-            session.submit_suite(suite).result()
+            session.run_suite(suite)
         spans = filter_suite(load_spans(str(tmp_path)), name)
+        context = suite_trace_context(name)
         members = [s for s in spans if s["name"].startswith("member/")]
         assert sorted(s["name"] for s in members) == sorted(
             f"member/{member}" for member, _ in PARITY_MEMBERS
         )
         for member in members:
+            assert member["trace_id"] == context.trace_id
+            assert member["parent_id"] == context.span_id
             assert [
                 s["name"].split("/")[0]
                 for s in spans
                 if s["parent_id"] == member["span_id"]
             ] == ["study"]
-        with Session.for_suite(suite) as session:
-            session.submit_suite(suite, resume=True).result()
-        spans = filter_suite(load_spans(str(tmp_path)), name)
-        assert sorted(
-            s["name"] for s in spans if s["name"].startswith("replay/")
-        ) == sorted(f"replay/{member}" for member, _ in PARITY_MEMBERS)
 
 
 # ---------------------------------------------------------------------------
