@@ -33,9 +33,10 @@ describe a registered study with a declarative, JSON-round-trippable
 ``StudySpec`` and execute it through a ``Session``, which shares one
 measurement cache and executor across every study it runs (see
 ``EXPERIMENTS.md`` for the catalogue of registered studies).  Seeds are
-derived from scope paths (task / repetition), so a sharded, streaming
-``session.submit(spec)`` is bitwise-identical to ``session.run(spec)``,
-and ``Session(cache_dir=...)`` persists measurements one file per content
+derived from scope paths (task / repetition), so a study run one task at
+a time merges bitwise to ``session.run(spec)`` over all tasks — which is
+how the distributed work queue may shard a suite member — and
+``Session(cache_dir=...)`` persists measurements one file per content
 hash so concurrent workers share a store without locks.  The same specs
 run from the shell::
 
@@ -55,6 +56,7 @@ from repro import (
     list_studies,
     minimum_sample_size,
 )
+from repro.api import merge_results
 
 
 def study_api_demo() -> None:
@@ -83,15 +85,15 @@ def study_api_demo() -> None:
             f"(warm replay {replay.elapsed_seconds:.3f}s vs cold run "
             f"{result.elapsed_seconds:.3f}s)"
         )
-        # Sharded streaming execution derives the same scope-addressed
-        # seeds, so the merged result is bitwise-identical to run() —
-        # and, in this session, replays straight from the shared cache.
-        two_tasks = spec.with_params(task_names=["entailment", "sentiment"])
-        handle = session.submit(two_tasks)
-        merged = handle.result()
-        full = session.run(two_tasks)
-        assert merged.to_rows() == full.to_rows()
-        print(f"\nsubmit == run over shards {handle.keys}")
+        # Each task run on its own derives the same scope-addressed seeds
+        # the two-task run assigns to it, so the parts merge to the whole
+        # bitwise — and, in this session, replay straight from the cache.
+        tasks = ["entailment", "sentiment"]
+        full = session.run(spec.with_params(task_names=tasks))
+        parts = [session.run(spec.with_params(task_names=[t])) for t in tasks]
+        assert merge_results(parts).to_rows() == full.to_rows()
+        refits = sum(part.cache_stats["misses"] for part in parts)
+        print(f"\nper-task runs merge to the two-task run ({refits} refits)")
     # Specs round-trip through JSON, so studies are launchable from config
     # files, queues, or `python -m repro run spec.json`.
     assert StudySpec.from_json(spec.to_json()) == spec

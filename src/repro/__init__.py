@@ -51,7 +51,6 @@ Or declaratively, through the unified Study API::
 
 from repro.api import (
     Session,
-    StudyHandle,
     StudyResult,
     StudySpec,
     SuiteResult,
@@ -115,7 +114,6 @@ __all__ = [
     "SeedBundle",
     "SeedScope",
     "Session",
-    "StudyHandle",
     "StudyResult",
     "StudySpec",
     "SuiteResult",

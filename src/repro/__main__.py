@@ -43,9 +43,9 @@ finds under one cache dir until stopped (or, with ``--exit-when-done``,
 until all queues complete); ``queue`` prints each queue's live
 pending/running/done/failed state, lease ages and attempt counts.
 ``serve`` runs the long-lived study service (see ``src/repro/serve/``):
-specs POSTed to ``/v1/studies`` run on the session's bounded in-process
-pool, manifests POSTed to ``/v1/suites`` go through the same durable
-queue that ``worker`` drains, per-member progress streams from
+specs POSTed to ``/v1/studies`` run through the service session's
+``Session.run``, two at a time, manifests POSTed to ``/v1/suites`` go
+through the same durable queue that ``worker`` drains, progress streams from
 ``/v1/jobs/<id>/events`` as server-sent events, and ``GET /`` serves a
 zero-dependency status dashboard.
 ``report`` rebuilds variance-provenance artifacts (markdown + JSON
@@ -73,8 +73,8 @@ every subcommand that takes them:
   Results are bitwise-identical at any value.
 * queue — ``--lease-seconds`` (``suite``, ``worker``, ``queue``,
   ``serve``): the heartbeat lease after which a claimed task may be
-  stolen.  Durable task state lives in rename-claim files under
-  ``<cache_dir>/queue/<suite>/``.
+  stolen (default ``TaskQueue.LEASE_SECONDS``).  Durable task state
+  lives in rename-claim files under ``<cache_dir>/queue/<suite>/``.
 * retry — ``--max-attempts``, ``--stall-seconds`` (``suite``,
   ``worker``, ``serve``): executions a task gets before a transient
   failure parks it, and how long a study may make no progress before its
@@ -86,7 +86,8 @@ every subcommand that takes them:
   of the levelled stderr logging (default ``$REPRO_LOG_LEVEL`` or INFO).
 
 On ``suite``, ``--shard-members``, ``--lease-seconds`` and the retry
-flags require ``--distributed``.
+flags require ``--distributed``.  A flag left unset is not forwarded, so
+the class it configures keeps its own default, declared once there.
 
 Exit codes: 0 success, 2 for an unreadable or malformed spec/manifest or
 an out-of-range flag (the offending field is named on stderr).
@@ -99,7 +100,7 @@ import json
 import logging
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.api import Session, StudySpec, SuiteSpec, get_study, iter_studies
 from repro.api.spec import VALID_BACKENDS
@@ -142,27 +143,15 @@ def _check_flags(args: argparse.Namespace, *, store: bool = False) -> None:
             raise CLIError(message)
 
 
+def _given(args: argparse.Namespace, *names: str) -> Dict[str, Any]:
+    """The named flags the user set.  An unset flag is left out, so the
+    constructor it configures keeps its own default."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _parent() -> argparse.ArgumentParser:
     return argparse.ArgumentParser(add_help=False)
-
-
-def _queue_flags(lease_seconds: Optional[float]) -> argparse.ArgumentParser:
-    # A factory, not one shared parent: argparse shares a parent's action
-    # objects between its children, so one child's set_defaults would
-    # change every child's default.  ``suite`` needs None (to tell an
-    # explicit --lease-seconds apart); worker, queue and serve need 30.
-    queue = _parent()
-    queue.add_argument(
-        "--lease-seconds",
-        type=float,
-        default=lease_seconds,
-        help=(
-            "heartbeat lease after which a claimed task is presumed crashed "
-            "and may be stolen (default 30; use minutes across hosts with "
-            "clock skew)"
-        ),
-    )
-    return queue
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -259,7 +248,17 @@ def _build_parser() -> argparse.ArgumentParser:
             "ERROR, CRITICAL; default: $REPRO_LOG_LEVEL or INFO)"
         ),
     )
-    queue = _queue_flags(lease_seconds=30.0)
+    queue = _parent()
+    queue.add_argument(
+        "--lease-seconds",
+        type=float,
+        default=None,
+        help=(
+            "heartbeat lease after which a claimed task is presumed crashed "
+            "and may be stolen (default 30; use minutes across hosts with "
+            "clock skew)"
+        ),
+    )
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -278,8 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite = commands.add_parser(
         "suite",
         parents=[
-            engine, cache_option, _queue_flags(lease_seconds=None), retry,
-            shard, as_json, logs,
+            engine, cache_option, queue, retry, shard, as_json, logs,
         ],
         help=(
             "execute every member of a SuiteSpec manifest through one "
@@ -323,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--poll-seconds",
         type=float,
-        default=0.5,
+        default=None,
         help="idle sleep between queue scans (default 0.5)",
     )
     worker.add_argument(
@@ -406,15 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="port to bind (default 8321; 0 picks a free port)",
     )
     serve.add_argument(
-        "--max-concurrent-studies",
-        type=int,
-        default=None,
-        help=(
-            "bound on studies the in-process submit pool runs at once "
-            "(suites are not affected: they go through the work queue)"
-        ),
-    )
-    serve.add_argument(
         "--no-participate",
         action="store_true",
         help=(
@@ -495,30 +484,18 @@ def _read_suite(source: str) -> SuiteSpec:
 
 
 def _run(args: argparse.Namespace) -> int:
-    spec = _read_spec(args.spec)
-    if args.n_jobs is not None:
-        spec = spec.replace(n_jobs=args.n_jobs)
-    if args.backend is not None:
-        spec = spec.replace(backend=args.backend)
+    spec = _read_spec(args.spec).replace(**_given(args, "n_jobs", "backend"))
     _check_flags(args)
-    batch_size = 1 if args.batch_size is None else args.batch_size
-    with Session(cache_dir=args.cache_dir, batch_size=batch_size) as session:
+    with Session(cache_dir=args.cache_dir, **_given(args, "batch_size")) as session:
         result = session.run(spec)
         print(result.to_json(indent=2) if args.json else result.summary())
     return 0
 
 
 def _suite(args: argparse.Namespace) -> int:
-    suite = _read_suite(args.manifest)
-    overrides = {}
-    if args.n_jobs is not None:
-        overrides["n_jobs"] = args.n_jobs
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.cache_dir is not None:
-        overrides["cache_dir"] = args.cache_dir
-    if overrides:
-        suite = suite.replace(**overrides)
+    suite = _read_suite(args.manifest).replace(
+        **_given(args, "n_jobs", "backend", "cache_dir")
+    )
     if args.resume and suite.cache_dir is None:
         raise CLIError(
             "--resume requires a cache_dir (in the manifest or --cache-dir)"
@@ -563,28 +540,15 @@ def _suite(args: argparse.Namespace) -> int:
         if args.stall_seconds is not None:
             raise CLIError("--stall-seconds requires --distributed")
     _check_flags(args)
-    session_overrides = {}
-    if args.batch_size is not None:
-        session_overrides["batch_size"] = args.batch_size
-    with Session.for_suite(suite, **session_overrides) as session:
+    with Session.for_suite(suite, **_given(args, "batch_size")) as session:
         if args.distributed:
             from repro.sched import Coordinator  # local: keep CLI start-up light
 
-            # A flag left unset keeps the Coordinator's own default.
-            scheduler_config = {
-                name: value
-                for name, value in (
-                    ("lease_seconds", args.lease_seconds),
-                    ("max_attempts", args.max_attempts),
-                    ("stall_seconds", args.stall_seconds),
-                )
-                if value is not None
-            }
             coordinator = Coordinator(
                 session,
                 suite,
                 shard_members=args.shard_members,
-                **scheduler_config,
+                **_given(args, "lease_seconds", "max_attempts", "stall_seconds"),
             )
             result = coordinator.run(progress=progress, resume=args.resume)
         else:
@@ -615,14 +579,11 @@ def _worker(args: argparse.Namespace) -> int:
         args.cache_dir,
         suite=args.suite,
         worker_id=args.worker_id,
-        lease_seconds=args.lease_seconds,
-        poll_seconds=args.poll_seconds,
-        max_attempts=args.max_attempts,
-        stall_seconds=args.stall_seconds,
-        n_jobs=args.n_jobs,
-        backend=args.backend,
-        batch_size=args.batch_size,
         log=log,
+        **_given(
+            args, "lease_seconds", "poll_seconds", "max_attempts",
+            "stall_seconds", "n_jobs", "backend", "batch_size",
+        ),
     )
     stats = worker.run(
         exit_when_done=args.exit_when_done,
@@ -643,7 +604,7 @@ def _queue_status(args: argparse.Namespace) -> int:
     from repro.sched import TaskQueue  # local: keep CLI start-up light
 
     _check_flags(args, store=True)
-    queues = TaskQueue.discover(args.cache_dir, lease_seconds=args.lease_seconds)
+    queues = TaskQueue.discover(args.cache_dir, **_given(args, "lease_seconds"))
     if args.suite is not None:
         queues = [queue for queue in queues if queue.suite_name == args.suite]
     reports = []
@@ -711,27 +672,16 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.serve import serve  # local: keep CLI start-up light
 
     _check_flags(args, store=True)
-    session_config = {}
-    if args.n_jobs is not None:
-        session_config["n_jobs"] = args.n_jobs
-    if args.backend is not None:
-        session_config["backend"] = args.backend
-    if args.batch_size is not None:
-        session_config["batch_size"] = args.batch_size
-    if args.max_concurrent_studies is not None:
-        session_config["max_concurrent_studies"] = args.max_concurrent_studies
     try:
         serve(
             args.cache_dir,
             host=args.host,
             port=args.port,
-            session_config=session_config,
+            session_config=_given(args, "n_jobs", "backend", "batch_size"),
             verbose=not args.quiet,
             shard_members=args.shard_members,
             participate=not args.no_participate,
-            lease_seconds=args.lease_seconds,
-            max_attempts=args.max_attempts,
-            stall_seconds=args.stall_seconds,
+            **_given(args, "lease_seconds", "max_attempts", "stall_seconds"),
         )
     except OSError as error:
         raise CLIError(

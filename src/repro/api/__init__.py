@@ -12,9 +12,9 @@ launched the same way —
   over the ten ``run_*_study`` drivers (:func:`list_studies`,
   :func:`get_study`, :func:`smoke_suite`);
 * :mod:`repro.api.session` — :class:`Session`, the facade owning one
-  shared measurement cache and executor across studies, with blocking
-  :meth:`~Session.run`, streaming :meth:`~Session.submit` and the
-  in-process suite loop :meth:`~Session.run_suite` (a suite shared with
+  shared measurement cache and executor across studies, with
+  :meth:`~Session.run`, the one way to run a study, and the in-process
+  suite loop :meth:`~Session.run_suite` (a suite shared with
   worker processes runs through
   :class:`~repro.sched.coordinator.Coordinator` instead, see
   :mod:`repro.sched`);
@@ -45,7 +45,7 @@ from repro.api.registry import (
     smoke_suite,
 )
 from repro.api.results import StudyResult, SuiteResult, merge_results
-from repro.api.session import Session, StudyHandle
+from repro.api.session import Session
 from repro.api.spec import StudySpec, SuiteSpec
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "SuiteResult",
     "merge_results",
     "Session",
-    "StudyHandle",
     "StudySpec",
     "SuiteSpec",
 ]

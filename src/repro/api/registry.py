@@ -3,9 +3,9 @@
 Each ``run_*_study`` driver registers itself with :func:`register_study`,
 attaching the metadata a front door needs: which paper figure/table the
 study reproduces, which parameters control its size, a tiny smoke-scale
-parameter set (used by CI and the API tests), which parameter can be
-sharded for streaming execution, and the benchmark script that regenerates
-the artefact at paper-like scale.
+parameter set (used by CI and the API tests), which parameter the work
+queue can shard a suite member along, and the benchmark script that
+regenerates the artefact at paper-like scale.
 
 The registry is the single source of truth consumed by
 :class:`~repro.api.session.Session`, ``EXPERIMENTS.md`` and the test
@@ -61,9 +61,10 @@ class StudyInfo:
         Tiny-scale parameters that finish in seconds — what CI smoke runs
         and the API equivalence tests use.
     shard_param:
-        Name of a list-valued parameter the session may split into
-        per-element shards for streaming partial results (``None`` when
-        the study has no natural shard axis).
+        Name of a list-valued parameter a suite member may be split along,
+        one task per element (``repro suite --distributed
+        --shard-members``; ``None`` when the study has no natural shard
+        axis).
     benchmark:
         Benchmark script regenerating the artefact at larger scale.
     """

@@ -13,10 +13,10 @@ shape:
 
 The underlying result object stays reachable as ``.raw`` (and attribute
 access transparently falls through to it), so study-specific analysis
-never has to leave the unified API.  Merged shard results (from a sharded
-:meth:`~repro.api.session.Session.submit`) expose only the uniform
-interface; their study-specific attributes live on the per-shard results
-under ``.raw.parts``.
+never has to leave the unified API.  Merged shard results (a suite member
+the work queue's coordinator ran as ``shard_members`` shards) expose only
+the uniform interface; their study-specific attributes live on the
+per-shard results under ``.raw.parts``.
 """
 
 from __future__ import annotations
@@ -285,10 +285,11 @@ def merge_results(
     *,
     spec: Optional["StudySpec"] = None,
 ) -> StudyResult:
-    """Merge per-shard results into one, preserving submission order.
+    """Merge per-shard results into one, in the order given.
 
-    Rows concatenate in shard order (deterministic regardless of which
-    shard finished first); timings sum; cache-stat counters sum.
+    Rows concatenate in that order (the spec's shard order, however the
+    shards were scheduled); timings sum; cache-stat counters sum.  One
+    result is returned as it is.
     """
     if not results:
         raise ValueError("no shard results to merge")

@@ -14,31 +14,25 @@ configuration — and executes declarative
         spec = StudySpec(study="variance",
                          params={"task_names": ["entailment"], "n_seeds": 20},
                          random_state=0)
-        result = session.run(spec)            # blocking
+        result = session.run(spec)
         print(result.summary())
 
-        handle = session.submit(spec.replace(study="hpo_curves", params={
-            "task_names": ["entailment", "sentiment"], "budget": 10,
-        }))                                   # streaming, futures-based
-        for partial in handle:                # shards as they complete
-            print(partial.summary())
-        merged = handle.result()              # deterministic shard order
-
-``run`` is synchronous and deterministic: for a fixed ``random_state`` the
-result is bitwise-identical at any ``n_jobs``.  ``submit`` returns a
-:class:`StudyHandle` immediately; when the study's registry entry declares
-a shardable parameter (e.g. ``task_names``), each element runs as its own
-future, *keyed by its scope path* (``task_names=sentiment``).  Because
-every driver derives its seeds from scope paths rather than a shared rng
-stream, ``submit(spec).result()`` is bitwise-identical to ``run(spec)``:
-each shard computes exactly the measurements the monolithic run would
-have assigned to its key, and the handle merges shard results in the
-spec's canonical key order, never in submission or completion order.
+:meth:`Session.run` is the one way to run a study, and it is
+deterministic: for a fixed ``random_state`` the result is
+bitwise-identical at any ``n_jobs``, ``backend`` or ``batch_size``.
+Parallelism within a study comes from the executor, over which the
+study's measurements fan out.  Every driver derives its seeds from scope
+paths (``task_names=sentiment``) rather than a shared rng stream, so a
+study split along its registry shard axis — as the work queue's
+coordinator does with ``shard_members=True`` — computes exactly the
+measurements the whole run assigns to each part, and
+:func:`~repro.api.results.merge_results` of the parts in spec order is
+bitwise-identical to ``run(spec)``.
 
 For concurrent persistence, pass ``cache_dir=...``: the shared cache then
 writes one file per measurement hash (atomic rename), so any number of
-sessions — or shard workers inside one session — can share the directory
-without lock contention.
+sessions — threads or worker processes — can share the directory without
+lock contention.
 
 A process-backend executor keeps one pool of worker processes for the
 session's lifetime, so every study and batch after the first reuses warm
@@ -52,28 +46,10 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    Future,
-    ThreadPoolExecutor,
-    wait,
-)
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
-from repro.api.registry import StudyInfo, get_study
-from repro.api.results import StudyResult, SuiteResult, merge_results
+from repro.api.registry import get_study
+from repro.api.results import StudyResult, SuiteResult
 from repro.api.spec import StudySpec, SuiteSpec
 from repro.engine.cache import (
     MeasurementCache,
@@ -81,10 +57,10 @@ from repro.engine.cache import (
     dump_fidelity,
     load_fidelity,
 )
-from repro.engine.executor import CancellableExecutor, ParallelExecutor, StudyCancelled
+from repro.engine.executor import CancellableExecutor, ParallelExecutor
 from repro.telemetry.tracing import suite_trace_context, trace
 
-__all__ = ["Session", "StudyHandle"]
+__all__ = ["Session"]
 
 #: Signature of the optional per-spec progress callback of
 #: :meth:`Session.run_suite`: ``(event, name, index, total, result)`` with
@@ -93,15 +69,6 @@ __all__ = ["Session", "StudyHandle"]
 #: every path; the distributed coordinator reports them first (``0..k-1``).
 SuiteProgress = Callable[[str, str, int, int, Optional[StudyResult]], None]
 
-#: Signature of the optional per-shard progress callback of
-#: :meth:`Session.submit`: ``(event, key, index, total, result)`` with
-#: ``event`` one of ``"start"`` / ``"done"``, ``key`` the shard's scope
-#: path (``""`` for an unsharded study), ``index`` the shard's canonical
-#: position and ``total`` the shard count.  ``result`` is ``None`` for
-#: ``"start"``.  Callbacks fire on the submit-pool threads and must be
-#: cheap and non-raising — the progress plumbing the study service rides
-#: for live event streaming.
-StudyProgress = Callable[[str, str, int, int, Optional[StudyResult]], None]
 
 class _RunCacheView:
     """Per-run counting proxy over a shared :class:`MeasurementCache`.
@@ -110,7 +77,7 @@ class _RunCacheView:
     only the hit/miss/eviction counters are kept locally, so a run's
     ``cache_stats`` attributes exactly its own lookups — and the evictions
     its own puts caused — even when other studies (e.g. concurrent
-    ``submit`` shards) use the same cache.
+    :meth:`Session.run` calls on other threads) use the same cache.
     """
 
     __slots__ = ("inner", "hits", "misses", "evictions")
@@ -137,112 +104,13 @@ class _RunCacheView:
         self.evictions += self.inner.put_many(pairs)
 
 
-class StudyHandle:
-    """Future-like handle on a submitted study.
-
-    Shards are keyed by their scope path (``<shard_param>=<value>``, e.g.
-    ``task_names=sentiment``).  Iterating the handle yields per-shard
-    :class:`StudyResult` objects in *completion* order (streaming);
-    :meth:`result` blocks and merges by *key*, in the spec's canonical
-    order — so the merged result is a pure function of the spec, not of
-    scheduling.
-    """
-
-    def __init__(
-        self,
-        spec: StudySpec,
-        shards: "Mapping[str, StudySpec]",
-        futures: "Mapping[str, Future[StudyResult]]",
-        cancel_event: Optional[threading.Event] = None,
-    ) -> None:
-        self.spec = spec
-        self.shards = OrderedDict(shards)
-        self._futures: "OrderedDict[str, Future[StudyResult]]" = OrderedDict(futures)
-        self._cancel_event = cancel_event
-
-    def __len__(self) -> int:
-        return len(self._futures)
-
-    @property
-    def keys(self) -> List[str]:
-        """Shard keys in canonical (spec) order."""
-        return list(self._futures)
-
-    def done(self) -> bool:
-        """True when every shard has finished (or was cancelled)."""
-        return all(future.done() for future in self._futures.values())
-
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
-        return self._cancel_event is not None and self._cancel_event.is_set()
-
-    def cancel(self) -> bool:
-        """Stop the study: unstarted shards never run, in-flight shards
-        abort at their next batch boundary (:class:`StudyCancelled`).
-
-        Returns ``True`` when every shard was cancelled before starting;
-        ``False`` when at least one shard was already running (it will
-        stop between batches, not instantly) or already finished.
-        """
-        if self._cancel_event is not None:
-            self._cancel_event.set()
-        return all([future.cancel() for future in self._futures.values()])
-
-    def result(self, timeout: Optional[float] = None) -> StudyResult:
-        """Block for every shard and return the merged study result.
-
-        Shard results merge in canonical key order (the order of the
-        shard values in the spec), so the merged result is independent of
-        submission interleaving and completion order.  Raises
-        :class:`~repro.engine.executor.StudyCancelled` (or
-        :class:`concurrent.futures.CancelledError`) if the handle was
-        cancelled.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        parts: "Dict[str, StudyResult]" = {}
-        for key, future in self._futures.items():
-            remaining = None if deadline is None else deadline - time.monotonic()
-            parts[key] = future.result(timeout=remaining)
-        return merge_results([parts[key] for key in self.keys], spec=self.spec)
-
-    def partial_results(self) -> Iterator[StudyResult]:
-        """Yield shard results as they complete (streaming order).
-
-        Cancelled shards are skipped rather than raised, so a consumer
-        can drain whatever completed before a :meth:`cancel`.
-        """
-        for _key, result in self.completed():
-            yield result
-
-    def completed(self) -> Iterator[Tuple[str, StudyResult]]:
-        """Yield ``(key, result)`` pairs as shards complete.
-
-        The keyed twin of :meth:`partial_results`: completion order, but
-        each result arrives with its scope-path identity, so a consumer
-        (e.g. the study service's event stream) can attribute progress to
-        shards without re-deriving the sharding.  Cancelled shards are
-        skipped, exactly like :meth:`partial_results`.
-        """
-        pending = {future: key for key, future in self._futures.items()}
-        while pending:
-            finished, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for future in finished:
-                key = pending.pop(future)
-                try:
-                    yield key, future.result()
-                except (CancelledError, StudyCancelled):
-                    continue
-
-    __iter__ = partial_results
-
-
 class Session:
     """Shared-engine execution context for registered studies.
 
     The session owns its executors, one per ``(n_jobs, backend)``.  On the
     process backend each executor forks its worker pool at its first
     batch and reuses it for every later batch of every study, including
-    concurrent :meth:`submit` shards, until :meth:`close`.
+    concurrent :meth:`run` calls, until :meth:`close`.
 
     Parameters
     ----------
@@ -262,30 +130,24 @@ class Session:
         multi-seed kernel.  ``1`` (default) disables batching.  Results
         are bitwise-identical at any ``batch_size``.
     cache:
-        An existing :class:`~repro.engine.cache.MeasurementCache` to share,
-        or ``None`` (default) for one the session builds from the
-        arguments below.
+        An existing :class:`~repro.engine.cache.MeasurementCache` to share
+        — e.g. ``MeasurementCache(max_entries=..., max_bytes=...)`` for a
+        memory layer bounded by LRU budgets — or ``None`` (default) for an
+        unbounded one the session builds from the arguments below.
     cache_dir:
         Directory for per-key persistence of the shared cache: one file
-        per measurement hash, written atomically, so concurrent shard
-        workers — and other sessions sharing the directory — persist
+        per measurement hash, written atomically, so concurrent workers
+        — and other sessions sharing the directory — persist
         without lock contention and warm each other transparently.  A
         path naming an existing regular file, such as a whole-cache
         pickle from an older version, raises ``ValueError``.  Mutually
         exclusive with ``cache``.
-    max_cache_entries, max_cache_bytes:
-        LRU budgets applied when the session builds its own cache, keeping
-        long sessions bounded in memory (entries evicted from memory stay
-        on disk when ``cache_dir`` is used).
     max_store_entries, max_store_bytes:
         Garbage-collection budgets for the ``cache_dir`` object tree
         (require ``cache_dir``): every write-through is followed by an
         LRU-by-last-use prune of the on-disk store, so a long-lived shared
         directory stays bounded (see
         :meth:`repro.engine.cache.FileStore.gc`).
-    max_concurrent_studies:
-        Worker threads backing :meth:`submit` (each study still fans its
-        own measurements out over the parallel executor).
     """
 
     def __init__(
@@ -296,11 +158,8 @@ class Session:
         batch_size: int = 1,
         cache: Optional[MeasurementCache] = None,
         cache_dir: Optional[str] = None,
-        max_cache_entries: Optional[int] = None,
-        max_cache_bytes: Optional[int] = None,
         max_store_entries: Optional[int] = None,
         max_store_bytes: Optional[int] = None,
-        max_concurrent_studies: int = 2,
     ) -> None:
         if cache is not None:
             if not isinstance(cache, MeasurementCache):
@@ -322,8 +181,6 @@ class Session:
         else:
             self.cache = MeasurementCache(
                 cache_dir=cache_dir,
-                max_entries=max_cache_entries,
-                max_bytes=max_cache_bytes,
                 max_store_entries=max_store_entries,
                 max_store_bytes=max_store_bytes,
             )
@@ -337,12 +194,9 @@ class Session:
         if backend is None:
             backend = "process" if self.batch_size > 1 else "thread"
         self.backend = backend
-        self.max_concurrent_studies = max(1, int(max_concurrent_studies))
         self._executors: Dict[Tuple[int, str, int], ParallelExecutor] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._studies_run = 0
-        self._closed = False
         # Spans persist beside the store this session works against; the
         # telemetry/ namespace is invisible to the store GC, and the sink
         # is a pure side channel (results never depend on it).
@@ -359,19 +213,15 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """Shut down the submit pool and the executors' process pools.
+        """Shut down the executors' process pools.
 
-        Submitted studies finish first; then every executor's worker
-        processes exit.  Entries were written through at put time, so
-        close writes nothing to any per-key store.  Blocking :meth:`run`
-        stays usable after close; its first process batch forks a new pool.
+        Every executor's worker processes exit.  Entries were written
+        through at put time, so close writes nothing to any per-key store.
+        :meth:`run` stays usable after close; its first process batch forks
+        a new pool.
         """
         with self._lock:
-            pool, self._pool = self._pool, None
-            self._closed = True
             executors = list(self._executors.values())
-        if pool is not None:
-            pool.shutdown(wait=True)
         for executor in executors:
             executor.close()
 
@@ -384,27 +234,9 @@ class Session:
                 )
             return self._executors[key]
 
-    def _submit_pool(self) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cannot submit to a closed Session")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_concurrent_studies,
-                    thread_name_prefix="repro-session",
-                )
-            return self._pool
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _resolve(self, spec: Union[StudySpec, str]) -> Tuple[StudySpec, StudyInfo]:
-        if isinstance(spec, str):
-            spec = StudySpec(study=spec)
-        info = get_study(spec.study)
-        info.validate_params(spec.params)
-        return spec, info
-
     def run(
         self,
         spec: Union[StudySpec, str],
@@ -417,9 +249,10 @@ class Session:
         The study runs through the measurement engine with this session's
         shared cache and executor; for a fixed ``spec.random_state`` the
         result is bitwise-identical at any ``n_jobs``/``backend``, and
-        (for shardable studies) to the merged result of :meth:`submit`.
+        (for shardable studies) to the merged results of its shards.
         ``cancel_event`` binds an external abort switch to the run (a
-        distributed worker trips it when its lease is stolen): setting it
+        distributed worker trips it when its lease is stolen, a service
+        study job when it is deleted): setting it
         raises :class:`~repro.engine.executor.StudyCancelled` at the next
         item or batch boundary.  ``tick`` is an optional per-work-item
         liveness callback (see :meth:`ParallelExecutor.map`) — distributed
@@ -434,20 +267,23 @@ class Session:
         cancel_event: Optional[threading.Event] = None,
         tick: Optional[Callable[[], None]] = None,
     ) -> StudyResult:
-        spec, info = self._resolve(spec)
+        if isinstance(spec, str):
+            spec = StudySpec(study=spec)
+        info = get_study(spec.study)
+        info.validate_params(spec.params)
         n_jobs = self.n_jobs if spec.n_jobs is None else spec.n_jobs
         backend = self.backend if spec.backend is None else spec.backend
         cache = self.cache if spec.cache else None
         # The view counts this run's own lookups and evictions, so
-        # cache_stats stays exact even when concurrent submit() shards
-        # share the cache.
+        # cache_stats stays exact even when concurrent runs share the
+        # cache.
         view = None if cache is None else _RunCacheView(cache)
         executor: Any = self._executor_for(n_jobs, backend)
         if cancel_event is not None or tick is not None:
-            # Bind this submission's cancellation event to every batch the
-            # study fans out, so cancel() stops in-flight work between
-            # batches, not just shards that have not started.  The tick
-            # rides the same wrapper: one view, both liveness directions.
+            # Bind the cancellation event to every batch the study fans
+            # out, so setting it stops in-flight work between batches.
+            # The tick rides the same wrapper: one view, both liveness
+            # directions.
             executor = CancellableExecutor(executor, cancel_event, tick=tick)
         kwargs: Dict[str, Any] = dict(spec.params)
         kwargs.update(
@@ -486,89 +322,6 @@ class Session:
             elapsed_seconds=elapsed,
             cache_stats=cache_stats,
         )
-
-    def submit(
-        self,
-        spec: Union[StudySpec, str],
-        *,
-        progress: Optional[StudyProgress] = None,
-    ) -> StudyHandle:
-        """Launch ``spec`` asynchronously and return a :class:`StudyHandle`.
-
-        When the registry declares a shardable parameter for the study and
-        the spec supplies more than one value for it, each value becomes
-        its own future keyed by its scope path (``<axis>=<value>``).
-        Partial results stream as shards complete; because every driver
-        derives seeds from scope paths, :meth:`StudyHandle.result` — which
-        merges by key in canonical spec order — is bitwise-identical to
-        :meth:`run` of the same spec.
-
-        ``progress`` (see :data:`StudyProgress`) streams per-shard
-        ``"start"``/``"done"`` events from the submit-pool threads as the
-        execution proceeds — a push-based alternative to polling
-        :meth:`StudyHandle.completed`.  Concurrent ``submit`` calls are
-        safe: each submission gets its own cancellation event and progress
-        stream, and all share the session's bounded pool and cache.
-        """
-        spec, info = self._resolve(spec)
-        shards = self._shard(spec, info)
-        pool = self._submit_pool()
-        cancel_event = threading.Event()
-        total = len(shards)
-        futures: "OrderedDict[str, Future[StudyResult]]" = OrderedDict()
-        for index, (key, shard) in enumerate(shards.items()):
-            futures[key] = pool.submit(
-                self._run_shard,
-                shard,
-                key,
-                index,
-                total,
-                cancel_event,
-                progress,
-            )
-        return StudyHandle(spec, shards, futures, cancel_event=cancel_event)
-
-    def _run_shard(
-        self,
-        shard: StudySpec,
-        key: str,
-        index: int,
-        total: int,
-        cancel_event: threading.Event,
-        progress: Optional[StudyProgress],
-    ) -> StudyResult:
-        if progress is not None:
-            progress("start", key, index, total, None)
-        with trace.span(
-            f"shard/{key or shard.study}", study=shard.study, shard=key
-        ):
-            result = self._execute(shard, cancel_event)
-        if progress is not None:
-            progress("done", key, index, total, result)
-        return result
-
-    @staticmethod
-    def _shard(spec: StudySpec, info: StudyInfo) -> "OrderedDict[str, StudySpec]":
-        """Split ``spec`` along its shard axis, keyed by scope path.
-
-        The key (``task_names=sentiment``) is the shard's identity: the
-        handle merges by key in the order the values appear in the spec
-        (the canonical order), so scheduling never influences the merged
-        result.
-        """
-        axis = info.shard_param
-        if axis is not None and axis in spec.params:
-            values = spec.params[axis]
-            if isinstance(values, list) and len(values) > 1:
-                keys = [f"{axis}={value}" for value in values]
-                # Duplicate shard values would collapse onto one key; run
-                # the spec whole instead so rows appear once per occurrence.
-                if len(set(keys)) == len(keys):
-                    return OrderedDict(
-                        (key, spec.with_params(**{axis: [value]}))
-                        for key, value in zip(keys, values)
-                    )
-        return OrderedDict({"": spec})
 
     # ------------------------------------------------------------------
     # Suites

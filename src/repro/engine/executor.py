@@ -379,12 +379,12 @@ class CancellableExecutor:
     Wraps any :class:`ParallelExecutor` behind the same one-method
     interface, so studies (and the :class:`~repro.engine.runner.StudyRunner`
     batches they submit) become cancellable without threading an event
-    through every driver signature:
-    :meth:`repro.api.session.Session.submit` hands each study a wrapped
-    view of the shared executor, and
-    :meth:`~repro.api.session.StudyHandle.cancel` sets the event — the
-    next batch (or, on serial/thread backends, the next item) raises
-    :class:`StudyCancelled` instead of running on.
+    through every driver signature: :meth:`repro.api.session.Session.run`
+    hands a study with a ``cancel_event`` a wrapped view of the shared
+    executor, and whoever owns the event — a worker whose lease was
+    stolen, a deleted service study job — sets it: the next batch (or, on
+    serial/thread backends, the next item) raises :class:`StudyCancelled`
+    instead of running on.
 
     ``tick`` optionally binds a per-item liveness callback the same way
     (see :meth:`ParallelExecutor.map`); either binding may be ``None``.

@@ -92,7 +92,7 @@ class WorkItem:
 
         The bundle is a pure function of the scope path, so the same item
         is produced no matter which shard (or host) constructs it — the
-        property behind ``submit(spec) == run(spec)``.
+        property behind merged shards equalling ``run(spec)``.
         """
         return cls(
             seeds=scope.bundle(),

@@ -136,7 +136,7 @@ def run_variance_study(
         Seed, generator or :class:`~repro.utils.rng.SeedScope`.  Every
         seed in the study is derived from the scope path of its task /
         source / repetition, never from a shared rng stream, so a run
-        restricted to one task (e.g. a :meth:`Session.submit` shard)
+        restricted to one task (e.g. a ``shard_members`` queue task)
         produces bitwise-identical measurements to the full run.
     """
     scope = SeedScope.from_state(random_state)

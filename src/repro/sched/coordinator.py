@@ -30,8 +30,9 @@ import os
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.api.registry import get_study
 from repro.api.results import StudyResult, SuiteResult, merge_results
-from repro.api.spec import SuiteSpec
+from repro.api.spec import StudySpec, SuiteSpec
 from repro.sched.queue import TaskQueue, TaskRecord
 from repro.sched.worker import Worker
 from repro.telemetry.tracing import suite_trace_context, trace
@@ -40,6 +41,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import Session, SuiteProgress
 
 __all__ = ["Coordinator"]
+
+
+def _shards(spec: StudySpec) -> Dict[str, StudySpec]:
+    """Split ``spec`` along its registry shard axis, keyed by scope path.
+
+    The key (``task_names=sentiment``) is the shard's identity and the
+    order is that of the values in the spec, so shards merged in plan
+    order never depend on scheduling.  A spec with fewer than two values
+    on its axis stays whole under the key ``""``, and so does one with
+    duplicate values, which would collapse onto one key: it then runs
+    whole, so its rows appear once per occurrence.
+    """
+    axis = get_study(spec.study).shard_param
+    values = spec.params.get(axis) if axis is not None else None
+    if isinstance(values, list) and len(values) > 1:
+        keys = [f"{axis}={value}" for value in values]
+        if len(set(keys)) == len(keys):
+            return {
+                key: spec.with_params(**{axis: [value]})
+                for key, value in zip(keys, values)
+            }
+    return {"": spec}
 
 
 class Coordinator:
@@ -58,15 +81,17 @@ class Coordinator:
     suite:
         The manifest to execute (validated before anything is enqueued).
     shard_members:
-        Pre-shard members along their registry shard axis (the same
-        scope-path split as :meth:`~repro.api.session.Session.submit`), so
-        workers steal at shard rather than member granularity.  Rows stay
-        bitwise-identical; a sharded member's ``report()`` concatenates
-        per-shard reports, exactly like a merged ``submit`` handle.
+        Pre-shard members along their registry shard axis, one task per
+        scope path (``task_names=sentiment``), so workers steal at shard
+        rather than member granularity.  Rows stay bitwise-identical: the
+        shards merge in plan order through
+        :func:`~repro.api.results.merge_results`, and a sharded member's
+        ``report()`` concatenates the per-shard reports.
     lease_seconds, poll_seconds:
-        Queue lease for claimed tasks and the coordinator's poll cadence
-        (positive: zero would spin on the queue; ``None``:
-        :attr:`POLL_SECONDS`).
+        Queue lease for claimed tasks (``None``:
+        :attr:`~repro.sched.queue.TaskQueue.LEASE_SECONDS`) and the
+        coordinator's poll cadence (positive: zero would spin on the
+        queue; ``None``: :attr:`POLL_SECONDS`).
     max_attempts:
         Executions a task gets before a *transient* failure parks it
         (``None``: the queue's default).
@@ -89,7 +114,7 @@ class Coordinator:
         suite: SuiteSpec,
         *,
         shard_members: bool = False,
-        lease_seconds: float = 30.0,
+        lease_seconds: Optional[float] = None,
         poll_seconds: Optional[float] = None,
         max_attempts: Optional[int] = None,
         stall_seconds: Optional[float] = None,
@@ -113,12 +138,11 @@ class Coordinator:
         # FileStore.namespace), so task state can never be collected out
         # from under a live run.
         session.cache.namespace("queue")
-        queue_kwargs = {} if max_attempts is None else {"max_attempts": max_attempts}
         self.queue = TaskQueue.for_suite(
             session.cache.cache_dir,
             suite.name,
             lease_seconds=lease_seconds,
-            **queue_kwargs,
+            max_attempts=max_attempts,
         )
         # What enqueue() replayed; None until the suite is enqueued.
         self._replayed: Optional[Dict[str, StudyResult]] = None
@@ -130,9 +154,6 @@ class Coordinator:
         self, *, skip_members: Tuple[str, ...] = ()
     ) -> List[TaskRecord]:
         """The task graph: schedule order, optionally scope-path sharded."""
-        from repro.api.registry import get_study  # local: avoid cycle
-        from repro.api.session import Session  # local: avoid cycle
-
         order = self.suite.schedule_order()
         specs = dict(self.suite.specs)
         # Every task carries the suite's deterministic trace context, so
@@ -152,11 +173,7 @@ class Coordinator:
                 for dep in self.suite.depends_on.get(member, ())
                 if dep not in skip_members
             )
-            shards = (
-                Session._shard(spec, get_study(spec.study))
-                if self.shard_members
-                else {"": spec}
-            )
+            shards = _shards(spec) if self.shard_members else {"": spec}
             if len(shards) == 1:
                 tasks.append(
                     TaskRecord(
@@ -416,8 +433,6 @@ class Coordinator:
                     replayed=False,
                 )
             )
-        if len(parts) == 1:
-            return parts[0]
         return merge_results(parts, spec=dict(self.suite.specs)[member])
 
     def _queue_reappears(self, grace_seconds: float = 2.0) -> bool:

@@ -305,19 +305,30 @@ class TaskQueue:
         basename is the suite name.
     lease_seconds:
         Heartbeat lease: a running task whose lease has not been renewed
-        for this long is considered abandoned and may be stolen.
+        for this long is considered abandoned and may be stolen
+        (``None``: :attr:`LEASE_SECONDS`).
     max_attempts:
         Executions a task gets before a *transient* failure parks it
-        (deterministic failures always park on the first).
+        (deterministic failures always park on the first; ``None``:
+        :data:`DEFAULT_MAX_ATTEMPTS`).
     """
+
+    #: Lease when the caller names none — the one default for every
+    #: queue, worker, coordinator and service.  Use minutes across hosts
+    #: with clock skew.
+    LEASE_SECONDS = 30.0
 
     def __init__(
         self,
         directory: str,
         *,
-        lease_seconds: float = 30.0,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+        lease_seconds: Optional[float] = None,
+        max_attempts: Optional[int] = None,
     ) -> None:
+        if lease_seconds is None:
+            lease_seconds = self.LEASE_SECONDS
+        if max_attempts is None:
+            max_attempts = DEFAULT_MAX_ATTEMPTS
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
         if max_attempts < 1:

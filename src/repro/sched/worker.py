@@ -99,10 +99,13 @@ class Worker:
     worker_id:
         Stable identity for leases and logs (default ``host:pid``).
     lease_seconds, poll_seconds:
-        Heartbeat lease for claimed tasks, and how long to sleep when no
-        task is claimable (positive: zero would spin on the queue).
+        Heartbeat lease for claimed tasks (``None``: the queue's
+        :attr:`~repro.sched.queue.TaskQueue.LEASE_SECONDS`), and how long
+        to sleep when no task is claimable (positive: zero would spin on
+        the queue; ``None``: :attr:`POLL_SECONDS`).
     max_attempts:
-        Executions a task gets before a transient failure parks it.
+        Executions a task gets before a transient failure parks it
+        (``None``: the queue's default).
     stall_seconds:
         Couple lease renewal to study progress: when the running study
         emits no progress event for this long, the heartbeat thread stops
@@ -125,14 +128,18 @@ class Worker:
         an injected session open.
     """
 
+    #: Idle sleep when the caller names none — the one default for
+    #: ``repro worker`` and every directly built worker.
+    POLL_SECONDS = 0.5
+
     def __init__(
         self,
         cache_dir: str,
         *,
         suite: Optional[str] = None,
         worker_id: Optional[str] = None,
-        lease_seconds: float = 30.0,
-        poll_seconds: float = 0.5,
+        lease_seconds: Optional[float] = None,
+        poll_seconds: Optional[float] = None,
         max_attempts: Optional[int] = None,
         stall_seconds: Optional[float] = None,
         n_jobs: Optional[int] = None,
@@ -144,7 +151,9 @@ class Worker:
         self.cache_dir = str(cache_dir)
         self.suite = suite
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
-        self.lease_seconds = float(lease_seconds)
+        self.lease_seconds = lease_seconds
+        if poll_seconds is None:
+            poll_seconds = self.POLL_SECONDS
         if poll_seconds <= 0:
             raise ValueError("poll_seconds must be positive")
         self.poll_seconds = float(poll_seconds)
@@ -179,10 +188,11 @@ class Worker:
         stamp changes), so a standing fleet doesn't
         re-parse every task spec on every idle scan.
         """
-        kwargs: Dict[str, Any] = {"lease_seconds": self.lease_seconds}
-        if self.max_attempts is not None:
-            kwargs["max_attempts"] = self.max_attempts
-        found = TaskQueue.discover(self.cache_dir, **kwargs)
+        found = TaskQueue.discover(
+            self.cache_dir,
+            lease_seconds=self.lease_seconds,
+            max_attempts=self.max_attempts,
+        )
         if self.suite is not None:
             found = [
                 queue for queue in found if queue.suite_name == self.suite
@@ -294,7 +304,7 @@ class Worker:
             last_tick[0] = time.monotonic()
 
         def _heartbeat() -> None:
-            interval = max(0.05, self.lease_seconds / 4.0)
+            interval = max(0.05, queue.lease_seconds / 4.0)
             while not stop_heartbeat.wait(interval):
                 if (
                     self.stall_seconds is not None

@@ -1,12 +1,14 @@
 """Job lifecycle behind the study service: submit, track, stream.
 
 A :class:`JobRegistry` turns HTTP submissions into running work on one
-shared :class:`~repro.api.session.Session`:
+shared :class:`~repro.api.session.Session`, each job on its own driver
+thread:
 
-* **studies** run on the session's bounded in-process submit pool
-  (:meth:`Session.submit`), one future per scope-path shard, with the
-  per-shard :data:`~repro.api.session.StudyProgress` events recorded on
-  the job;
+* **studies** run through :meth:`Session.run`, the one way to run a
+  study, once the job holds one of :data:`STUDY_SLOTS` slots shared by
+  the whole registry (it waits ``queued`` until then); the study's
+  measurements fan out over the session's executor, and the job records
+  one ``start``/``done`` event pair named by the study;
 * **suites** go through a :class:`~repro.sched.coordinator.Coordinator`
   this registry builds itself, the one way into the work queue — durable
   :class:`~repro.sched.queue.TaskQueue` tasks that any external
@@ -42,19 +44,26 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
-from concurrent.futures import CancelledError
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.api.registry import get_study
 from repro.api.session import Session
 from repro.api.spec import StudySpec, SuiteSpec
 from repro.engine.executor import StudyCancelled
+from repro.sched import Coordinator
 
 __all__ = ["Job", "JobRegistry"]
 
-#: Job lifecycle states.  ``queued`` exists only between registration and
-#: the driver thread's first instruction; terminal states are exactly
-#: ``done`` / ``failed`` / ``cancelled``.
+#: Job lifecycle states.  A study job is ``queued`` until it holds a
+#: study slot, a suite job only until its driver thread starts; terminal
+#: states are exactly ``done`` / ``failed`` / ``cancelled``.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: Study jobs that run at once across the registry; the rest wait
+#: ``queued``.  Each study still fans its measurements out over the
+#: session's executor.  Suites are not bounded here: they go through the
+#: work queue.
+STUDY_SLOTS = 2
 
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
@@ -83,8 +92,9 @@ class Job:
         self.events: List[Dict[str, Any]] = []
         self.result: Any = None  # StudyResult | SuiteResult once done
         self.cond = threading.Condition()
-        self.cancel_requested = False
-        self._cancel_hook = None  # set for study jobs (StudyHandle.cancel)
+        # Set by cancel(); a study job's Session.run stops on it at the
+        # next batch boundary.
+        self.cancel_event = threading.Event()
 
     # -- mutation (driver-thread side) ---------------------------------
     def record(
@@ -95,7 +105,7 @@ class Job:
         total: int,
         result: Any,
     ) -> None:
-        """Append one progress event (the Suite/StudyProgress contract)."""
+        """Append one progress event (the SuiteProgress contract)."""
         entry: Dict[str, Any] = {
             "event": event,
             "name": name,
@@ -107,12 +117,16 @@ class Job:
             entry["replayed"] = bool(result.replayed)
         self._append(entry, progressed=event in ("done", "replay"))
 
-    def mark_running(self) -> None:
+    def mark_running(self) -> bool:
+        """Move ``queued`` to ``running``; ``False`` when the job was
+        cancelled first, so it must not run."""
         with self.cond:
-            if self.state == "queued":
-                self.state = "running"
-                self.started = time.time()
-                self.cond.notify_all()
+            if self.state != "queued" or self.cancel_event.is_set():
+                return False
+            self.state = "running"
+            self.started = time.time()
+            self.cond.notify_all()
+            return True
 
     def finish(
         self,
@@ -186,16 +200,16 @@ class Job:
             return list(self.events[after_seq:]), self.terminal
 
     def cancel(self) -> bool:
-        """Request cancellation (best-effort; suites queued to external
-        workers finish their in-flight tasks).  Returns ``True`` when the
-        job was still live."""
+        """Request cancellation: a queued job ends ``cancelled`` at once
+        and never runs, a running study stops at its next batch boundary
+        (best-effort for suites: workers finish their in-flight tasks).
+        Returns ``True`` when the job was still live."""
         with self.cond:
             if self.terminal:
                 return False
-            self.cancel_requested = True
-            hook = self._cancel_hook
-        if hook is not None:
-            hook()
+            self.cancel_event.set()
+            if self.state == "queued":
+                self.finish("cancelled")
         return True
 
     def to_dict(self) -> Dict[str, Any]:
@@ -227,11 +241,10 @@ class JobRegistry:
         The one shared :class:`~repro.api.session.Session`; must be bound
         to a ``cache_dir`` (suites enqueue into it, and every client's
         results live in its store).
-    shard_members, lease_seconds, poll_seconds, max_attempts,
-    stall_seconds:
+    shard_members, lease_seconds, max_attempts, stall_seconds:
         Scheduler configuration applied to every suite job (see
-        :class:`~repro.sched.coordinator.Coordinator`; ``poll_seconds``
-        ``None`` keeps the coordinator's default).
+        :class:`~repro.sched.coordinator.Coordinator`; ``None`` keeps its
+        default).
     participate:
         Whether suite-driving coordinator threads execute tasks
         themselves (default) or only watch for external workers.
@@ -243,8 +256,7 @@ class JobRegistry:
         *,
         shard_members: bool = False,
         participate: bool = True,
-        lease_seconds: float = 30.0,
-        poll_seconds: Optional[float] = None,
+        lease_seconds: Optional[float] = None,
         max_attempts: Optional[int] = None,
         stall_seconds: Optional[float] = None,
     ) -> None:
@@ -256,12 +268,12 @@ class JobRegistry:
         self.session = session
         self.shard_members = bool(shard_members)
         self.participate = bool(participate)
-        self.lease_seconds = float(lease_seconds)
-        self.poll_seconds = poll_seconds
+        self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
         self.stall_seconds = stall_seconds
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._lock = threading.Lock()
+        self._study_slots = threading.BoundedSemaphore(STUDY_SLOTS)
         self._ids = itertools.count(1)
         self._closing = False
 
@@ -280,38 +292,35 @@ class JobRegistry:
             self._jobs[job.id] = job
         return job
 
-    def _unregister(self, job: Job) -> None:
-        with self._lock:
-            self._jobs.pop(job.id, None)
-
     def submit_study(self, payload: Mapping[str, Any]) -> Job:
-        """Validate ``payload`` as a :class:`StudySpec` and launch it on
-        the session's bounded submit pool.
+        """Validate ``payload`` as a :class:`StudySpec` and run it through
+        :meth:`Session.run` once a study slot is free.
 
         Validation errors raise synchronously (no job is created); the
-        job streams one ``start``/``done`` event pair per scope-path
-        shard and finishes with the merged result.
+        job streams one ``start``/``done`` event pair named by the study
+        and finishes with its result.  A job cancelled while it waits for
+        a slot never runs.
         """
         if not isinstance(payload, Mapping):
             raise TypeError("a study submission must be a JSON object")
         spec = StudySpec.from_dict(payload)
+        # Validated here, in the HTTP thread, so a bad spec is a 400 —
+        # not a failed job.
+        get_study(spec.study).validate_params(spec.params)
         job = self._register("study", spec.study)
-
-        def progress(event, key, index, total, result):
-            job.record(event, key or spec.study, index, total, result)
-
-        try:
-            # _resolve validates study name and params here, in the HTTP
-            # thread, so a bad spec is a 400 — not a failed job.
-            handle = self.session.submit(spec, progress=progress)
-        except BaseException:
-            self._unregister(job)
-            raise
         with job.cond:
-            job.total = len(handle)
-        job._cancel_hook = handle.cancel
-        job.mark_running()
-        self._drive(job, handle.result)
+            job.total = 1
+
+        def execute():
+            with self._study_slots:
+                if not job.mark_running():
+                    raise StudyCancelled("cancelled while queued")
+                job.record("start", spec.study, 0, 1, None)
+                result = self.session.run(spec, cancel_event=job.cancel_event)
+                job.record("done", spec.study, 0, 1, result)
+                return result
+
+        self._drive(job, execute)
         return job
 
     def submit_suite(self, payload: Mapping[str, Any]) -> Job:
@@ -339,17 +348,7 @@ class JobRegistry:
             job.record(event, name, index, total, result)
 
         def execute():
-            from repro.sched import Coordinator  # local: sched <- api
-
-            coordinator = Coordinator(
-                self.session,
-                suite,
-                shard_members=self.shard_members,
-                lease_seconds=self.lease_seconds,
-                poll_seconds=self.poll_seconds,
-                max_attempts=self.max_attempts,
-                stall_seconds=self.stall_seconds,
-            )
+            coordinator = self._coordinator(suite)
             try:
                 return coordinator.run(
                     participate=self.participate, progress=progress
@@ -364,6 +363,18 @@ class JobRegistry:
         job.mark_running()
         self._drive(job, execute)
         return job
+
+    def _coordinator(self, suite: SuiteSpec) -> Coordinator:
+        """The :class:`~repro.sched.coordinator.Coordinator` that drives
+        one suite job, configured from this registry."""
+        return Coordinator(
+            self.session,
+            suite,
+            shard_members=self.shard_members,
+            lease_seconds=self.lease_seconds,
+            max_attempts=self.max_attempts,
+            stall_seconds=self.stall_seconds,
+        )
 
     @staticmethod
     def _harvest_queue_failure(job: Job, coordinator) -> None:
@@ -396,7 +407,7 @@ class JobRegistry:
         def run() -> None:
             try:
                 result = execute()
-            except (StudyCancelled, CancelledError):
+            except StudyCancelled:
                 job.finish("cancelled")
             except BaseException as error:  # noqa: BLE001 - job, not server
                 message = "".join(
@@ -407,12 +418,12 @@ class JobRegistry:
                         type(error), error, error.__traceback__
                     )
                 )
-                if job.cancel_requested:
+                if job.cancel_event.is_set():
                     job.finish("cancelled", error=message, traceback_text=full)
                 else:
                     job.finish("failed", error=message, traceback_text=full)
             else:
-                state = "cancelled" if job.cancel_requested else "done"
+                state = "cancelled" if job.cancel_event.is_set() else "done"
                 job.finish(state, result)
 
         thread = threading.Thread(
@@ -438,16 +449,17 @@ class JobRegistry:
         """Graceful shutdown: stop accepting work, cancel live jobs, wake
         every event stream.
 
-        Study jobs cancel through their handles (in-flight shards abort
-        at the next batch boundary); suite jobs are marked cancelled —
-        their durable queues survive, so an external worker fleet (or a
-        later ``--resume``) can still finish the work.  Driver threads
-        are daemons and are not joined: a shard mid-batch dies with the
-        process rather than stalling shutdown.
+        Study jobs cancel through their events (a running study aborts
+        at its next batch boundary, a queued one never starts); suite
+        jobs are marked cancelled — their durable queues survive, so an
+        external worker fleet (or a later ``--resume``) can still finish
+        the work.  Driver threads are daemons and are not joined: a
+        study mid-batch dies with the process rather than stalling
+        shutdown.
         """
         with self._lock:
             self._closing = True
             jobs = list(self._jobs.values())
         for job in jobs:
-            job.cancel()
+            job.cancel_event.set()
             job.finish("cancelled", error="service shut down")

@@ -507,8 +507,12 @@ def serve(
     """Run the study service until interrupted (the CLI entry point).
 
     Opens a session on ``cache_dir`` (``session_config`` forwards knobs
-    like ``n_jobs`` / ``max_concurrent_studies`` / store budgets), binds
-    ``host:port``, and blocks in the accept loop.  ``KeyboardInterrupt``
+    like ``n_jobs`` / ``batch_size`` / store budgets), binds
+    ``host:port``, and blocks in the accept loop.  Study jobs run through
+    that session's :meth:`~repro.api.session.Session.run`, at most
+    :data:`~repro.serve.jobs.STUDY_SLOTS` at once; ``registry_config``
+    configures the suite jobs' coordinators (see
+    :class:`~repro.serve.jobs.JobRegistry`).  ``KeyboardInterrupt``
     shuts down gracefully: live jobs are cancelled, durable suite queues
     survive for workers or a resubmission to finish.
     """

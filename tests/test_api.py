@@ -7,25 +7,34 @@ Covers the three layers of the front door:
   integrity (smoke params must be valid driver kwargs);
 * ``Session`` — every registered study runs at tiny scale, is
   bitwise-identical at ``n_jobs=1`` vs ``n_jobs=2``, shares one warm
-  cache across runs, and streams shard results through ``submit``.
+  cache across runs, and its shards — as the work queue's coordinator
+  splits a study — merge to the whole run bitwise.
 """
 
 import json
 import os
 import threading
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments as experiments
-from repro.api import Session, StudySpec, get_study, iter_studies, list_studies
+from repro.api import (
+    Session,
+    StudySpec,
+    SuiteSpec,
+    get_study,
+    iter_studies,
+    list_studies,
+    merge_results,
+)
 from repro.api.registry import ENGINE_PARAMS
 from repro.api.results import StudyResult
-from repro.api.session import StudyHandle
 from repro.engine import MeasurementCache, StudyCancelled
 from repro.engine.cache import FileStore
+from repro.sched import Coordinator
 
 #: Studies whose smoke-scale run is fast enough for the equivalence matrix.
 ALL_STUDIES = list_studies()
@@ -234,74 +243,34 @@ class TestSessionRun:
             assert len(session.cache) == 0
 
     def test_concurrent_shards_report_exact_per_run_stats(self):
-        spec = StudySpec(
-            study="binomial",
-            params={
-                "task_names": ["entailment", "sentiment"],
-                "n_splits": 3,
-                "dataset_size": 200,
-            },
-            random_state=2,
-        )
+        specs = [
+            StudySpec(
+                study="binomial",
+                params={
+                    "task_names": [task],
+                    "n_splits": 3,
+                    "dataset_size": 200,
+                },
+                random_state=2,
+            )
+            for task in ("entailment", "sentiment")
+        ]
         with Session() as session:
-            merged = session.submit(spec).result()
+            with ThreadPoolExecutor(2) as pool:
+                results = list(pool.map(session.run, specs))
             totals = session.cache.stats()
-        # Per-shard deltas are counted through per-run views, so the merged
-        # counters equal the shared cache's totals even though the shards
-        # ran concurrently against the same cache.
-        assert merged.cache_stats["hits"] == totals["hits"]
-        assert merged.cache_stats["misses"] == totals["misses"]
+        # Each run counts through its own view, so the two runs' counters
+        # add up to the shared cache's totals even though they ran
+        # concurrently against the same cache.
+        assert all(result.cache_stats["misses"] > 0 for result in results)
+        assert sum(r.cache_stats["hits"] for r in results) == totals["hits"]
+        assert sum(r.cache_stats["misses"] for r in results) == totals["misses"]
 
     def test_external_cache_object_is_shared(self):
         cache = MeasurementCache(max_entries=100)
         with Session(cache=cache) as session:
             session.run(_smoke_spec("hpo_curves", n_jobs=1))
         assert cache.stats()["entries"] > 0
-
-
-# ----------------------------------------------------------------------
-# Session.submit: streaming handles
-# ----------------------------------------------------------------------
-class TestSessionSubmit:
-    def test_sharded_submit_streams_and_merges_deterministically(self):
-        spec = StudySpec(
-            study="variance",
-            params={
-                "task_names": ["entailment", "sentiment"],
-                "n_seeds": 3,
-                "include_hpo": False,
-                "dataset_size": 200,
-            },
-            random_state=0,
-        )
-        with Session() as session:
-            handle = session.submit(spec)
-            assert len(handle) == 2
-            partials = list(handle)
-            merged = handle.result()
-            assert handle.done()
-        assert len(partials) == 2
-        tasks = [row["task"] for row in merged.to_rows()]
-        # Submission order, not completion order: entailment rows first.
-        assert tasks == sorted(tasks, key=["entailment", "sentiment"].index)
-        # Resubmission is deterministic: same spec, same merged rows,
-        # regardless of which shard finished first.
-        with Session() as session:
-            again = session.submit(spec).result()
-        assert json.dumps(merged.to_rows(), sort_keys=True) == json.dumps(
-            again.to_rows(), sort_keys=True
-        )
-
-    def test_merged_result_points_to_parts_for_native_attributes(self):
-        spec = StudySpec(
-            study="sample_size", params={"gammas": [0.7, 0.75]}, random_state=0
-        )
-        with Session() as session:
-            merged = session.submit(spec).result()
-        with pytest.raises(AttributeError, match=r"\.parts"):
-            merged.gammas
-        assert len(merged.raw.parts) == 2
-        assert float(merged.raw.parts[0].gammas[0]) == 0.7
 
     def test_file_cache_persisted_even_after_close(self, tmp_path):
         path = str(tmp_path / "late")
@@ -312,21 +281,20 @@ class TestSessionSubmit:
             replay = fresh.run(_smoke_spec("hpo_curves", n_jobs=1))
         assert replay.cache_stats["misses"] == 0
 
-    def test_unsharded_study_submits_single_future(self):
-        with Session() as session:
-            handle = session.submit(_smoke_spec("sota", n_jobs=1))
-            assert len(handle) == 1
-            assert handle.result(timeout=60).to_rows()
-
-    def test_submit_after_close_raises(self):
-        session = Session()
-        session.close()
-        with pytest.raises(RuntimeError, match="closed Session"):
-            session.submit(_smoke_spec("sota", n_jobs=1))
+    @pytest.mark.parametrize(
+        "keyword", ["max_cache_entries", "max_cache_bytes", "max_concurrent_studies"]
+    )
+    def test_removed_keywords_raise(self, keyword):
+        # A memory budget goes on the cache the session is handed, so a
+        # session can never hold a budget it silently ignores.
+        with pytest.raises(TypeError, match=keyword):
+            Session(cache=MeasurementCache(), **{keyword: 2})
+        with pytest.raises(TypeError, match=keyword):
+            Session(**{keyword: 2})
 
 
 # ----------------------------------------------------------------------
-# The determinism contract: submit(spec) == run(spec), bitwise
+# The determinism contract: merged shards == run(spec), bitwise
 # ----------------------------------------------------------------------
 #: Multi-shard parameters for every study with a shard axis, at a scale
 #: that keeps the full matrix in CI budget.
@@ -374,8 +342,22 @@ def _canon(result) -> str:
     return json.dumps(result.to_rows(), sort_keys=True, default=str)
 
 
+def _plan(spec, tmp_path):
+    """The coordinator's shard split of ``spec``: one suite member planned
+    with ``shard_members=True``, its tasks in plan order."""
+    suite = SuiteSpec(name="parity", specs=[("member", spec)])
+    with Session(cache_dir=str(tmp_path / "plan")) as planner:
+        return Coordinator(planner, suite, shard_members=True).plan()
+
+
+def _run_shards(session, tasks, spec):
+    """Run each planned task through ``Session.run``, shard by shard, and
+    merge the parts in plan order, as the coordinator assembles them."""
+    return merge_results([session.run(task.spec) for task in tasks], spec=spec)
+
+
 class TestShardParity:
-    """Sharded streaming execution is bitwise-equal to monolithic execution.
+    """Sharded execution is bitwise-equal to monolithic execution.
 
     Seeds are derived from scope paths (task / gamma / repetition), never
     from a shared rng stream, so a shard computes exactly the measurements
@@ -387,7 +369,7 @@ class TestShardParity:
         assert shardable == set(SHARD_PARITY_PARAMS)
 
     @pytest.mark.parametrize("name", sorted(SHARD_PARITY_PARAMS))
-    def test_submit_equals_run_bitwise(self, name):
+    def test_merged_shards_equal_run_bitwise(self, name, tmp_path):
         rows_by_n_jobs = {}
         for n_jobs in (1, 4):
             spec = StudySpec(
@@ -396,19 +378,21 @@ class TestShardParity:
                 n_jobs=n_jobs,
                 random_state=11,
             )
+            tasks = _plan(spec, tmp_path)
+            assert len(tasks) > 1
+            axis = get_study(name).shard_param
+            assert all(task.shard_key.startswith(f"{axis}=") for task in tasks)
+            # Separate sessions: the shards compute, not replay, the rows.
             with Session() as session:
                 full = session.run(spec)
-                handle = session.submit(spec)
-                assert len(handle) > 1
-                merged = handle.result()
-            axis = get_study(name).shard_param
-            assert all(key.startswith(f"{axis}=") for key in handle.keys)
+            with Session() as session:
+                merged = _run_shards(session, tasks, spec)
             rows_by_n_jobs[n_jobs] = _canon(full)
             assert _canon(full) == _canon(merged), (name, n_jobs)
         # And the whole thing is independent of the worker count.
         assert rows_by_n_jobs[1] == rows_by_n_jobs[4], name
 
-    def test_layer_ablation_parity_across_batch_sizes(self):
+    def test_layer_ablation_parity_across_batch_sizes(self, tmp_path):
         """The ablation grid survives vectorized multi-seed batching too:
         batch_size 1 vs 4, full vs sharded, all bitwise-equal."""
         spec = StudySpec(
@@ -416,18 +400,19 @@ class TestShardParity:
             params=SHARD_PARITY_PARAMS["layer_ablation"],
             random_state=11,
         )
+        tasks = _plan(spec, tmp_path)
+        assert len(tasks) > 1
         rows_by_batch = {}
         for batch_size in (1, 4):
             with Session(batch_size=batch_size, backend="thread") as session:
                 full = session.run(spec)
-                handle = session.submit(spec)
-                assert len(handle) > 1
-                merged = handle.result()
+            with Session(batch_size=batch_size, backend="thread") as session:
+                merged = _run_shards(session, tasks, spec)
             assert _canon(full) == _canon(merged), batch_size
             rows_by_batch[batch_size] = _canon(full)
         assert rows_by_batch[1] == rows_by_batch[4]
 
-    def test_sharded_submit_replays_run_measurements(self):
+    def test_sharded_rerun_replays_run_measurements(self, tmp_path):
         """Same session: the sharded rerun hits the cache for every key —
         direct evidence that shards derive the very same seeds."""
         spec = StudySpec(
@@ -435,33 +420,55 @@ class TestShardParity:
             params=SHARD_PARITY_PARAMS["binomial"],
             random_state=3,
         )
+        tasks = _plan(spec, tmp_path)
         with Session() as session:
             first = session.run(spec)
-            merged = session.submit(spec).result()
+            merged = _run_shards(session, tasks, spec)
         assert first.cache_stats["misses"] > 0
         assert merged.cache_stats["misses"] == 0
         assert merged.cache_stats["hits"] == first.cache_stats["misses"]
+        assert _canon(first) == _canon(merged)
 
-    def test_duplicate_shard_values_fall_back_to_single_future(self):
+    def test_merged_result_points_to_parts_for_native_attributes(self, tmp_path):
+        spec = StudySpec(
+            study="sample_size", params={"gammas": [0.7, 0.75]}, random_state=0
+        )
+        with Session() as session:
+            merged = _run_shards(session, _plan(spec, tmp_path), spec)
+        with pytest.raises(AttributeError, match=r"\.parts"):
+            merged.gammas
+        assert len(merged.raw.parts) == 2
+        assert float(merged.raw.parts[0].gammas[0]) == 0.7
+
+    def test_duplicate_shard_values_plan_one_task(self, tmp_path):
+        # Duplicates would collapse onto one key: the spec runs whole, so
+        # its rows appear once per occurrence.
         spec = StudySpec(
             study="sample_size",
             params={"gammas": [0.75, 0.75]},
             random_state=0,
         )
+        (task,) = _plan(spec, tmp_path)
+        assert task.spec == spec and task.shard_key is None
         with Session() as session:
-            handle = session.submit(spec)
-            assert len(handle) == 1
-            assert len(handle.result().to_rows()) == 2
+            assert len(session.run(task.spec).to_rows()) == 2
 
-    def test_non_list_shard_param_never_crashes_submit_itself(self):
-        # A scalar where the driver expects a list is the driver's error to
-        # raise — inside the future, not synchronously in _shard.
+    def test_scalar_shard_value_plans_one_task(self, tmp_path):
+        # A scalar where the driver expects a list is the driver's error
+        # to raise when the task runs — planning never raises on it.
         spec = StudySpec(study="sample_size", params={"gammas": 0.75})
+        (task,) = _plan(spec, tmp_path)
+        assert task.spec == spec
         with Session() as session:
-            handle = session.submit(spec)
-            assert len(handle) == 1
             with pytest.raises(TypeError):
-                handle.result()
+                session.run(task.spec)
+
+    def test_unsharded_study_plans_one_task(self, tmp_path):
+        spec = _smoke_spec("sota", n_jobs=1)
+        (task,) = _plan(spec, tmp_path)
+        assert task.spec == spec
+        with Session() as session:
+            assert session.run(task.spec).to_rows()
 
 
 # ----------------------------------------------------------------------
@@ -550,7 +557,7 @@ class TestSessionCacheDir:
 
     def test_eviction_counter_reported(self):
         spec = _smoke_spec("hpo_curves", n_jobs=1)
-        with Session(max_cache_entries=2) as session:
+        with Session(cache=MeasurementCache(max_entries=2)) as session:
             result = session.run(spec)
         assert result.cache_stats["evictions"] > 0
         assert "evictions=" in result.summary()
@@ -592,45 +599,9 @@ class TestSessionCacheDir:
 # Cancellation propagation
 # ----------------------------------------------------------------------
 class TestCancellation:
-    def _make_handle(self, pool, first_started, release):
-        spec = StudySpec(study="sample_size", params={"gammas": [0.7, 0.75]})
-        shards = Session._shard(spec, get_study("sample_size"))
-        event = threading.Event()
-
-        def blocked_shard(shard_spec):
-            first_started.set()
-            release.wait(timeout=10)
-            if event.is_set():
-                raise StudyCancelled("stopped at the batch boundary")
-            with Session() as session:
-                return session.run(shard_spec)
-
-        keys = list(shards)
-        futures = {
-            keys[0]: pool.submit(blocked_shard, shards[keys[0]]),
-            keys[1]: pool.submit(blocked_shard, shards[keys[1]]),
-        }
-        return StudyHandle(spec, shards, futures, cancel_event=event), event
-
-    def test_cancel_sets_event_and_cancels_pending_shards(self):
-        first_started, release = threading.Event(), threading.Event()
-        with ThreadPoolExecutor(1) as pool:  # one worker: shard 2 must queue
-            handle, event = self._make_handle(pool, first_started, release)
-            assert first_started.wait(timeout=10)
-            assert not handle.cancelled()
-            cancelled_all = handle.cancel()
-            release.set()
-            assert event.is_set() and handle.cancelled()
-            # The queued shard never started; the running one aborted at
-            # its next cancellation point.
-            assert not cancelled_all  # shard 1 was already running
-            with pytest.raises((CancelledError, StudyCancelled)):
-                handle.result()
-            # Streaming consumers drain without raising.
-            assert list(handle.partial_results()) == []
-            assert handle.done()
-
-    def test_submit_wires_cancel_event_into_executors(self):
+    def test_run_wires_cancel_event_into_executors(self):
+        # The event is set after the first work item, so the study must
+        # stop at its next item or batch boundary instead of finishing.
         spec = StudySpec(
             study="variance",
             params={
@@ -641,20 +612,12 @@ class TestCancellation:
             },
             random_state=0,
         )
-        with Session(max_concurrent_studies=1) as session:
-            handle = session.submit(spec)
-            handle.cancel()
-            assert handle.cancelled()
-            # Whatever had not finished was stopped; draining never hangs.
-            list(handle.partial_results())
-            assert handle.done()
-
-    def test_cancel_after_completion_is_noop(self):
+        event = threading.Event()
         with Session() as session:
-            handle = session.submit(_smoke_spec("sample_size", n_jobs=1))
-            result = handle.result()
-        assert handle.cancel() is False
-        assert result.to_rows()
+            with pytest.raises(StudyCancelled):
+                session.run(spec, cancel_event=event, tick=event.set)
+            # The event binds one run only: the session runs on.
+            assert session.run(spec).to_rows()
 
 
 # ----------------------------------------------------------------------

@@ -316,12 +316,12 @@ INTERFACE = {
             "--backend": (None, None, BACKENDS, STORE),
             "--batch-size": (None, "int", None, STORE),
             "--exit-when-done": (False, None, None, FLAG),
-            "--lease-seconds": (30.0, "float", None, STORE),
+            "--lease-seconds": (None, "float", None, STORE),
             "--log-level": (None, None, None, STORE),
             "--max-attempts": (None, "int", None, STORE),
             "--max-tasks": (None, "int", None, STORE),
             "--n-jobs": (None, "int", None, STORE),
-            "--poll-seconds": (0.5, "float", None, STORE),
+            "--poll-seconds": (None, "float", None, STORE),
             "--stall-seconds": (None, "float", None, STORE),
             "--suite": (None, None, None, STORE),
             "--timeout": (None, "float", None, STORE),
@@ -332,7 +332,7 @@ INTERFACE = {
         ["cache_dir"],
         {
             "--json": (False, None, None, FLAG),
-            "--lease-seconds": (30.0, "float", None, STORE),
+            "--lease-seconds": (None, "float", None, STORE),
             "--suite": (None, None, None, STORE),
         },
     ),
@@ -350,10 +350,9 @@ INTERFACE = {
             "--backend": (None, None, BACKENDS, STORE),
             "--batch-size": (None, "int", None, STORE),
             "--host": ("127.0.0.1", None, None, STORE),
-            "--lease-seconds": (30.0, "float", None, STORE),
+            "--lease-seconds": (None, "float", None, STORE),
             "--log-level": (None, None, None, STORE),
             "--max-attempts": (None, "int", None, STORE),
-            "--max-concurrent-studies": (None, "int", None, STORE),
             "--n-jobs": (None, "int", None, STORE),
             "--no-participate": (False, None, None, FLAG),
             "--port": (8321, "int", None, STORE),
@@ -416,14 +415,65 @@ class TestInterface:
             built[name] = (positionals, options)
         assert built == INTERFACE
 
-    def test_lease_and_poll_defaults_per_subcommand(self):
-        # suite keeps None so an explicit --lease-seconds is detectable
-        # ("requires --distributed"); the long-lived commands default to 30.
-        parsers = _subcommands()
-        assert parsers["suite"].parse_args(["m.json"]).lease_seconds is None
-        for name in ("worker", "queue", "serve"):
-            assert parsers[name].parse_args(["d"]).lease_seconds == 30.0
-        assert parsers["worker"].parse_args(["d"]).poll_seconds == 0.5
+    def test_unset_lease_and_poll_resolve_to_the_declared_defaults(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The lease is declared once (``TaskQueue.LEASE_SECONDS``) and the
+        worker's idle poll once (``Worker.POLL_SECONDS``): every
+        constructor and subcommand given neither resolves to them."""
+        from repro.api import Session
+        from repro.sched import Coordinator, TaskQueue, Worker
+        from repro.serve import StudyServer
+        from repro.serve.jobs import JobRegistry
+
+        lease, poll = TaskQueue.LEASE_SECONDS, Worker.POLL_SECONDS
+        store = str(tmp_path / "store")
+        suite = SuiteSpec(name="s", specs=[("only", SPEC)])
+        with Session(cache_dir=store) as session:
+            coordinator = Coordinator(session, suite)
+            coordinator.enqueue()
+            registry = JobRegistry(session)
+            assert coordinator.queue.lease_seconds == lease
+            assert registry._coordinator(suite).queue.lease_seconds == lease
+        assert TaskQueue(str(tmp_path / "q")).lease_seconds == lease
+        worker = Worker(store)
+        assert worker.poll_seconds == poll
+        assert [queue.lease_seconds for queue in worker.queues()] == [lease]
+
+        resolved = []
+
+        def record_worker(self, **kwargs):
+            resolved.append(
+                ("worker", [q.lease_seconds for q in self.queues()], self.poll_seconds)
+            )
+            return self.stats
+
+        def record_server(self, **kwargs):
+            coordinator = self.registry._coordinator(suite)
+            resolved.append(("serve", [coordinator.queue.lease_seconds], None))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Worker, "run", record_worker)
+        monkeypatch.setattr(StudyServer, "serve_forever", record_server)
+        assert main(["worker", store]) == 0
+        assert main(["serve", store, "--port", "0", "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["queue", store, "--json"]) == 0
+        (status,) = json.loads(capsys.readouterr().out)
+        resolved.append(("queue", [status["lease_seconds"]], None))
+        assert resolved == [
+            ("worker", [lease], poll),
+            ("serve", [lease], None),
+            ("queue", [lease], None),
+        ]
+        # The help text names the same values.
+        helps = {
+            name: " ".join(parser.format_help().split())
+            for name, parser in _subcommands().items()
+        }
+        for name in ("suite", "worker", "queue", "serve"):
+            assert f"default {lease:g}" in helps[name]
+        assert f"default {poll:g}" in helps["worker"]
 
     @pytest.mark.parametrize("command", sorted(INTERFACE))
     def test_help_formats_for_every_subcommand(self, command, capsys):

@@ -338,9 +338,9 @@ class TestProcessBackendParity:
     """The determinism contract holds on the process backend too.
 
     The shard-parity matrix in tests/test_api.py exercises the default
-    thread backend; these run the same submit-equals-run claim — and the
-    cross-backend identity — through real process pools, where functions,
-    items and measurements all cross a pickle boundary.
+    thread backend; these run the same merged-shards-equal-run claim — and
+    the cross-backend identity — through real process pools, where
+    functions, items and measurements all cross a pickle boundary.
     """
 
     PARAMS = {
@@ -353,8 +353,9 @@ class TestProcessBackendParity:
     def _canon(result):
         return json.dumps(result.to_rows(), sort_keys=True, default=str)
 
-    def test_submit_equals_run_bitwise_on_process_backend(self):
-        from repro.api import Session, StudySpec
+    def test_merged_shards_equal_run_bitwise_on_process_backend(self, tmp_path):
+        from repro.api import Session, StudySpec, SuiteSpec, merge_results
+        from repro.sched import Coordinator
 
         spec = StudySpec(
             study="binomial",
@@ -363,11 +364,18 @@ class TestProcessBackendParity:
             backend="process",
             random_state=5,
         )
+        suite = SuiteSpec(name="parity", specs=[("member", spec)])
         with Session(backend="process") as session:
             full = session.run(spec)
-            handle = session.submit(spec)
-            assert len(handle) == 2
-            merged = handle.result()
+        # The coordinator's shard split, run shard by shard in a session of
+        # its own (so the shards compute rather than replay) and merged in
+        # plan order.
+        with Session(backend="process", cache_dir=str(tmp_path)) as session:
+            tasks = Coordinator(session, suite, shard_members=True).plan()
+            assert len(tasks) == 2
+            merged = merge_results(
+                [session.run(task.spec) for task in tasks], spec=spec
+            )
         assert self._canon(full) == self._canon(merged)
         # Cross-backend identity: the process-pool result is bitwise the
         # serial result (seeds are pre-drawn; pickling changes nothing).
@@ -517,7 +525,7 @@ class TestCancellation:
         with pytest.raises(StudyCancelled):
             executor.map(fn, [8], cancel=event)
 
-    def test_submit_cancel_with_process_backend_drains(self):
+    def test_run_cancel_with_process_backend_stops(self):
         from repro.api import Session, StudySpec
 
         spec = StudySpec(
@@ -531,15 +539,14 @@ class TestCancellation:
             n_jobs=2,
             random_state=0,
         )
-        with Session(backend="process", max_concurrent_studies=1) as session:
-            handle = session.submit(spec)
-            handle.cancel()
-            assert handle.cancelled()
-            # Process batches stop at their boundaries; draining the
-            # handle must never hang and never yield a truncated shard.
-            for partial in handle.partial_results():
-                assert partial.to_rows()
-            assert handle.done()
+        event = threading.Event()
+        with Session(backend="process") as session:
+            # The event is set as the first item lands: the study stops at
+            # a process batch boundary and returns no truncated result.
+            with pytest.raises(StudyCancelled):
+                session.run(spec, cancel_event=event, tick=event.set)
+            # The pool outlives the cancelled run: the next run completes.
+            assert session.run(spec).to_rows()
 
 
 class TestProcessPoolLifetime:

@@ -5,11 +5,13 @@ real socket (``port=0``, kernel-assigned) with stdlib ``urllib`` as the
 client — the same wire a curl user or the dashboard sees.  The core
 contract under test: results obtained through the service are
 byte-for-byte the rows a direct in-process :class:`Session` run
-produces, whether the job ran on the submit pool (studies) or was
-drained from the durable queue by an external worker (suites).
+produces, whether the job ran through the service session's
+``Session.run`` (studies) or was drained from the durable queue by an
+external worker (suites).
 """
 
 import json
+import queue
 import threading
 import time
 import urllib.error
@@ -36,6 +38,18 @@ STUDY = StudySpec(
 CACHED_STUDY = StudySpec(
     study="variance",
     params=dict(get_study("variance").smoke_params),
+    random_state=3,
+)
+
+# Two values on the study's shard axis: the service still runs it whole.
+TWO_TASKS = StudySpec(
+    study="variance",
+    params={
+        "task_names": ["entailment", "sentiment"],
+        "n_seeds": 3,
+        "include_hpo": False,
+        "dataset_size": 200,
+    },
     random_state=3,
 )
 
@@ -97,6 +111,44 @@ def _post(server, path, payload):
             return r.status, json.loads(r.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def _delete(server, path):
+    request = urllib.request.Request(server.url + path, method="DELETE")
+    with urllib.request.urlopen(request, timeout=30) as r:
+        return r.status, json.loads(r.read())
+
+
+class _Gates:
+    """Holds every study job's ``Session.run`` at a gate the test opens.
+
+    Installed over the served session's ``run``: each call puts its own
+    gate and the cancel event it was given on :attr:`entered`, waits for
+    the gate, then runs the real study and puts how it ended ("done" or
+    the exception's name) on :attr:`outcomes`.
+    """
+
+    def __init__(self, session):
+        self.entered = queue.Queue()
+        self.outcomes = queue.Queue()
+        self._run = session.run
+        session.run = self
+
+    def __call__(self, spec, *, cancel_event=None):
+        gate = threading.Event()
+        self.entered.put((gate, cancel_event))
+        gate.wait(timeout=DEADLINE)
+        try:
+            result = self._run(spec, cancel_event=cancel_event)
+        except BaseException as error:
+            self.outcomes.put(type(error).__name__)
+            raise
+        self.outcomes.put("done")
+        return result
+
+    def next(self):
+        """The next call to reach its gate: ``(gate, cancel_event)``."""
+        return self.entered.get(timeout=30)
 
 
 def _await_terminal(server, job_id, deadline=DEADLINE):
@@ -265,6 +317,78 @@ class TestStudyJobs:
             _, replay = _get(server, f"/v1/jobs/{accepted['job']}/result")
             stats = replay["result"]["cache_stats"]
             assert stats["misses"] == 0 and stats["hits"] > 0
+
+    def test_two_task_study_runs_whole_with_one_event_pair(self, tmp_path):
+        with serving(tmp_path) as server:
+            _, accepted = _post(server, "/v1/studies", TWO_TASKS.to_dict())
+            summary = _await_terminal(server, accepted["job"])
+            assert summary["state"] == "done"
+            assert summary["total"] == summary["completed"] == 1
+            events = _sse_events(server, accepted["job"])
+            _, payload = _get(server, f"/v1/jobs/{accepted['job']}/result")
+        with Session() as direct:
+            reference = json.loads(direct.run(TWO_TASKS).to_json())
+        assert _rows(payload["result"]["rows"]) == _rows(reference["rows"])
+        assert [
+            (e["event"], e["name"], e["index"], e["total"]) for e in events[:-1]
+        ] == [("start", "variance", 0, 1), ("done", "variance", 0, 1)]
+        assert events[-1]["event"] == "end" and events[-1]["state"] == "done"
+
+    def test_delete_stops_a_running_study_through_its_event(self, tmp_path):
+        with serving(tmp_path) as server:
+            gates = _Gates(server.registry.session)
+            _, accepted = _post(server, "/v1/studies", CACHED_STUDY.to_dict())
+            job = server.registry.get(accepted["job"])
+            gate, event = gates.next()
+            assert event is job.cancel_event and not event.is_set()
+            assert _get(server, f"/v1/jobs/{job.id}")[1]["state"] == "running"
+            status, body = _delete(server, f"/v1/jobs/{job.id}")
+            assert status == 200 and body["cancelled"] is True
+            assert event.is_set()
+            gate.set()
+            assert _await_terminal(server, job.id)["state"] == "cancelled"
+            # Session.run itself stopped, at its first batch, on the event.
+            assert gates.outcomes.get(timeout=30) == "StudyCancelled"
+
+    def test_delete_after_done_answers_not_cancelled(self, tmp_path):
+        with serving(tmp_path) as server:
+            _, accepted = _post(server, "/v1/studies", STUDY.to_dict())
+            assert _await_terminal(server, accepted["job"])["state"] == "done"
+            status, body = _delete(server, f"/v1/jobs/{accepted['job']}")
+            assert status == 200
+            assert body["cancelled"] is False and body["state"] == "done"
+
+    def test_studies_past_two_wait_queued_for_a_slot(self, tmp_path):
+        def state(job_id):
+            return _get(server, f"/v1/jobs/{job_id}")[1]["state"]
+
+        with serving(tmp_path) as server:
+            gates = _Gates(server.registry.session)
+            holders = [
+                _post(server, "/v1/studies", STUDY.to_dict())[1]["job"]
+                for _ in range(2)
+            ]
+            held = [gates.next()[0] for _ in holders]
+            waiting, dropped = [
+                _post(server, "/v1/studies", STUDY.to_dict())[1]["job"]
+                for _ in range(2)
+            ]
+            assert [state(job_id) for job_id in holders] == ["running"] * 2
+            assert state(waiting) == state(dropped) == "queued"
+            # Cancelled while it waits: it ends at once and never runs.
+            status, body = _delete(server, f"/v1/jobs/{dropped}")
+            assert body["cancelled"] is True and body["state"] == "cancelled"
+            assert gates.entered.empty()
+            held[0].set()  # the first holder finishes and frees its slot
+            gate, _ = gates.next()
+            assert state(waiting) == "running"
+            gate.set()
+            held[1].set()
+            for job_id in holders + [waiting]:
+                assert _await_terminal(server, job_id)["state"] == "done"
+            assert state(dropped) == "cancelled"
+            assert gates.entered.empty()
+            assert [e["event"] for e in _sse_events(server, dropped)] == ["end"]
 
     def test_result_of_a_running_job_is_202_summary(self, tmp_path):
         with serving(tmp_path) as server:
